@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import EdgeType
-from repro.core.query import run_query
+from repro.core.query import QueryEngine
 
 
 @pytest.fixture(scope="session")
@@ -40,21 +40,19 @@ def test_connected_components(benchmark, graph):
 
 
 def test_query_node_scan(benchmark, graph):
-    rows = benchmark(
-        run_query,
-        graph,
+    result = benchmark(
+        QueryEngine.for_graph(graph).run,
         "MATCH (a) WHERE a.ecosystem = 'npm' RETURN count(*)",
     )
-    assert rows[0][0] > 0
+    assert result.rows[0][0] > 0
 
 
 def test_query_edge_expansion(benchmark, graph):
-    rows = benchmark(
-        run_query,
-        graph,
-        "MATCH (a)-[:dependency]-(b) RETURN a.name, b.name",
+    result = benchmark(
+        QueryEngine.for_graph(graph).run,
+        "MATCH (a)-[dependency]-(b) RETURN a.name, b.name",
     )
-    assert isinstance(rows, list)
+    assert isinstance(result.rows, tuple)
 
 
 def test_serialisation_roundtrip(benchmark, graph):

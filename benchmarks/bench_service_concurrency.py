@@ -32,8 +32,11 @@ Two surfaces:
    * shard-summed cache books must be exact for every combination
      (``hits + misses == gets``);
    * a refresh-under-load pass must show no torn generations: two
-     packages published together are always both visible or both
-     absent, with the books still exact.
+     packages published together by one delta-engine batch are always
+     both visible or both absent, to batch enrichment and to 1-hop
+     ``/v1/query`` alike, while every read also asks for a package whose
+     neighbours each batch rewrites; no read may raise, and the cache
+     and request books stay exact.
 """
 
 from __future__ import annotations
@@ -55,12 +58,13 @@ from repro.collection.records import (
     MalwareDataset,
     SourceClaim,
 )
+from repro.core.delta.events import GraphEvent
 from repro.core.malgraph import MalGraph
 from repro.ecosystem.package import PackageId, make_artifact
 from repro.service.cache import EnrichmentService, build_service
 from repro.service.enrich import EnrichmentEngine, Indicator
 from repro.service.index import IntelIndex
-from repro.service.refresh import refresh_index
+from repro.service.refresh import refresh_from_events
 from repro.service.server import create_server, server_address
 
 #: lock-free req/s at the top worker count vs one worker (the tentpole gate)
@@ -303,14 +307,18 @@ def _sweep(
 
 
 def _refresh_consistency_gate(readers: int, generations: int) -> None:
-    """Refresh under live readers: no torn generations, exact books."""
+    """Refresh under live readers: no torn generations, no failed read,
+    exact books."""
     base = [
         _mk_entry(f"corpus-{i}", f"def payload():\n    return {i}\n")
         for i in range(8)
     ]
-    service = build_service(
-        MalGraph.build(MalwareDataset(entries=base, reports=[])), capacity=1024
-    )
+    malgraph = MalGraph.build(MalwareDataset(entries=base, reports=[]))
+    service = build_service(malgraph, capacity=1024)
+    server = create_server(service, port=0)
+    host, port = server_address(server)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
     letters = "abcdefgh"[:generations]
 
     def pair(g: int) -> Tuple[str, str]:
@@ -319,23 +327,31 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
         stem = letters[g] * 3
         return f"{stem}pkg-a", f"{stem}pkg-b"
 
+    def decoy(g: int) -> DatasetEntry:
+        # a duplicate of corpus-0: each batch swaps corpus-0's neighbours
+        return _mk_entry(f"decoy-{g}", "def payload():\n    return 0\n")
+
     stop = threading.Event()
     failures: List[BaseException] = []
     books = threading.Lock()
     probes = [0]
+    queries = [0]
 
     def refresher() -> None:
         try:
             for g in range(len(letters)):
                 left, right = pair(g)
-                extra = MalwareDataset(
-                    entries=[
-                        _mk_entry(left, f"def l():\n    return {g}\n"),
-                        _mk_entry(right, f"def r():\n    return {g + 100}\n"),
-                    ],
-                    reports=[],
+                code = f"def twin():\n    return {g}\n"
+                events = [
+                    GraphEvent.package_added(_mk_entry(left, code)),
+                    GraphEvent.package_added(_mk_entry(right, code)),
+                    GraphEvent.package_added(decoy(g)),
+                ]
+                if g:
+                    events.append(GraphEvent.package_removed(decoy(g - 1).package))
+                refresh_from_events(
+                    service.index, events, service=service, malgraph=malgraph
                 )
-                refresh_index(service.index, extra, service=service)
                 time.sleep(0.002)
         except BaseException as failure:  # noqa: BLE001 - gate target
             failures.append(failure)
@@ -348,15 +364,30 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
             while not stop.is_set() and rounds < 5000:
                 left, right = pair((worker + rounds) % len(letters))
                 got = service.batch_enrich(
-                    [Indicator(name=left), Indicator(name=right)]
+                    [Indicator(name=left), Indicator(name=right), Indicator(name="corpus-0")]
                 )
                 verdicts = [r.verdict == "malicious" for r in got]
                 assert verdicts[0] == verdicts[1], (
                     f"torn read: {left}={got[0].verdict} "
                     f"{right}={got[1].verdict}"
                 )
+                assert verdicts[2], f"corpus-0 read {got[2].verdict}"
+                request = urllib.request.Request(
+                    f"http://{host}:{port}/v1/query",
+                    data=json.dumps(
+                        {
+                            "pattern": f"MATCH (a {{name: '{left}'}})"
+                            "-[duplicated]-(b) RETURN b.name"
+                        }
+                    ).encode(),
+                    headers={"Content-Type": "application/json"},
+                )
+                with urllib.request.urlopen(request, timeout=30) as response:
+                    rows = json.load(response)["rows"]
+                assert rows in ([], [[right]]), f"torn query: {left} -> {rows}"
                 with books:
-                    probes[0] += 2
+                    probes[0] += 3
+                    queries[0] += 1
                 rounds += 1
         except BaseException as failure:  # noqa: BLE001 - gate target
             failures.append(failure)
@@ -364,21 +395,30 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
     pool = [threading.Thread(target=refresher)] + [
         threading.Thread(target=reader, args=(w,)) for w in range(readers)
     ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join(timeout=60)
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=60)
+        query_books = server.metrics.snapshot()["endpoints"]["/v1/query"]
+    finally:
+        server.shutdown()
+        server.server_close()
     assert not failures, failures
     stats = service.cache.stats()
     assert stats["hits"] + stats["misses"] == probes[0], (
         f"refresh gate books: {stats['hits']}+{stats['misses']} "
         f"!= {probes[0]} probes"
     )
+    assert query_books["status"] == {"200": queries[0]}, (
+        f"refresh gate query books: {query_books['status']} != {queries[0]} sent"
+    )
     assert service.generation == len(letters)
-    assert service.index.package_count == 8 + 2 * len(letters)
+    assert service.index.package_count == 8 + 2 * len(letters) + 1
     print(
-        f"refresh consistency: {probes[0]} probes across "
-        f"{len(letters)} generations, 0 torn reads, books exact  OK"
+        f"refresh consistency: {probes[0]} probes and {queries[0]} 1-hop "
+        f"queries across {len(letters)} generations, 0 torn reads, "
+        f"0 failed reads, books exact  OK"
     )
 
 

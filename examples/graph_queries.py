@@ -20,23 +20,23 @@ from repro.world import WorldConfig
 QUERIES = [
     (
         "Malicious dependency pairs (Fig. 7 attacks)",
-        "MATCH (front)-[:dependency]-(lib) "
+        "MATCH (front)-[dependency]-(lib) "
         "RETURN front.name, lib.name ORDER BY front.name LIMIT 8",
     ),
     (
         "NPM packages similar to a 'cloud-*' package",
-        "MATCH (a)-[:similar]-(b) "
+        "MATCH (a)-[similar]-(b) "
         "WHERE a.name CONTAINS 'cloud' AND a.ecosystem = 'npm' "
         "RETURN a.name, b.name LIMIT 8",
     ),
     (
         "Recent releases reported by multiple relationships",
-        "MATCH (a)-[:coexisting]-(b) WHERE a.release_day > 1800 "
+        "MATCH (a)-[coexisting]-(b) WHERE a.release_day > 1800 "
         "RETURN a.name, b.name LIMIT 8",
     ),
     (
         "How many duplicated-code pairs exist?",
-        "MATCH (a)-[:duplicated]-(b) RETURN count(*)",
+        "MATCH (a)-[duplicated]-(b) RETURN count(*)",
     ),
     (
         "PyPI nodes collected with an artifact in hand",

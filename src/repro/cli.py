@@ -11,7 +11,7 @@ packages::
     python -m repro dataset --out data/    # save the collected dataset
     python -m repro publish --out site/    # the transparency website
     python -m repro export --out g/ --format graphml
-    python -m repro query "MATCH (a)-[:dependency]-(b) RETURN a.name, b.name"
+    python -m repro query "MATCH (a)-[dependency]-(b) RETURN a.name, b.name"
     python -m repro update --graph g/ events.jsonl   # delta-evolve a saved graph
     python -m repro validate               # groups vs ground truth
     python -m repro scan path/to/package/  # detector verdict for a dir
@@ -444,8 +444,8 @@ def cmd_warm(args: argparse.Namespace) -> int:
 
     artifacts = _artifacts(args)
     artifacts.warm()
-    report = pipeline.get_report()
-    print(report.render())
+    if not args.report:  # --report prints the same table on exit
+        print(pipeline.get_report().render())
     store = pipeline.get_store()
     if store.disk_enabled:
         print(f"disk cache: {store.cache_dir}")

@@ -22,7 +22,6 @@ from repro.core.kmeans import GrowthTrace, KMeansResult, grow_kmeans, kmeans
 from repro.core.malgraph import MalGraph
 from repro.core.query import (
     GraphIndexes,
-    GraphQuerySession,
     QueryEngine,
     QueryError,
     QueryResult,
@@ -31,7 +30,6 @@ from repro.core.query import (
     graph_indexes,
     parse,
     render,
-    run_query,
 )
 from repro.core.signatures import code_sha256, file_sha256, signature_index
 from repro.core.similarity import (
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_DIM",
     "EdgeType",
     "GraphIndexes",
-    "GraphQuerySession",
     "GraphStats",
     "GroupKind",
     "GrowthTrace",
@@ -81,6 +78,5 @@ __all__ = [
     "parse",
     "render",
     "resolve_jobs",
-    "run_query",
     "signature_index",
 ]

@@ -1,9 +1,9 @@
 """Columnar corpus layer (DESIGN.md §12).
 
-Flat numpy tables + interned string pools for the three hot corpora —
-package/version records, lifecycle event streams, and the edge census —
-with a lazy dataclass facade so every existing consumer keeps its
-`MalwareDataset` contract while hot paths read arrays.
+Flat numpy tables + interned string pools for the hot corpora —
+package/version records and the edge census — with a lazy dataclass
+facade so every existing consumer keeps its `MalwareDataset` contract
+while hot paths read arrays.
 """
 
 from repro.core.columnar.edges import (
@@ -15,14 +15,8 @@ from repro.core.columnar.edges import (
     duplicated_row_groups,
     duplicated_stats,
 )
-from repro.core.columnar.events import EventTable
 from repro.core.columnar.facade import ColumnarMalwareDataset
-from repro.core.columnar.io import (
-    load_columnar,
-    load_event_table,
-    save_columnar,
-    save_event_table,
-)
+from repro.core.columnar.io import load_columnar, save_columnar
 from repro.core.columnar.merge import merge_columnar
 from repro.core.columnar.pool import NULL, StringPool
 from repro.core.columnar.tables import ColumnarBuilder, ColumnarDataset
@@ -33,7 +27,6 @@ __all__ = [
     "ColumnarBuilder",
     "ColumnarDataset",
     "ColumnarMalwareDataset",
-    "EventTable",
     "census",
     "coexisting_row_groups",
     "coexisting_stats",
@@ -42,8 +35,6 @@ __all__ = [
     "duplicated_row_groups",
     "duplicated_stats",
     "load_columnar",
-    "load_event_table",
     "merge_columnar",
     "save_columnar",
-    "save_event_table",
 ]

@@ -23,7 +23,6 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.core.columnar.events import EventTable
 from repro.core.columnar.tables import ColumnarDataset
 from repro.errors import DatasetError
 
@@ -83,14 +82,4 @@ def load_columnar(directory: PathLike, mmap: bool = True) -> ColumnarDataset:
     unless ``mmap=False`` (then fully materialised in RAM)."""
     return ColumnarDataset.from_array_map(
         _read_arrays(Path(directory), kind="dataset", mmap=mmap)
-    )
-
-
-def save_event_table(table: EventTable, directory: PathLike) -> Path:
-    return _write_arrays(table.arrays(), Path(directory), kind="events")
-
-
-def load_event_table(directory: PathLike, mmap: bool = True) -> EventTable:
-    return EventTable.from_array_map(
-        _read_arrays(Path(directory), kind="events", mmap=mmap)
     )

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.collection.records import (
     CollectedReport,
@@ -224,12 +224,3 @@ def apply_events_to_dataset(
         entries=[entry for entry in entries if entry is not None],
         reports=reports,
     )
-
-
-def iter_package_events(
-    events: Iterable[GraphEvent],
-) -> Iterable[GraphEvent]:
-    """The package-level subset of a batch, in order."""
-    for event in events:
-        if event.kind is not EventKind.REPORT_INGESTED:
-            yield event

@@ -24,16 +24,10 @@ Layers (each its own module):
 * :mod:`~repro.core.query.engine` — :class:`QueryEngine`, the shared
   entry point for the Python API, ``repro query`` and ``/v1/query``.
 
-This package superseded the original single-hop ``repro.core.query``
-module; its public surface (:func:`parse`, :func:`run_query`,
-:class:`GraphQuerySession`, :class:`QueryError`) is preserved below.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from repro.core.graph import PropertyGraph
 from repro.core.query.ast import (
     BoolExpr,
     CallQuery,
@@ -70,7 +64,6 @@ __all__ = [
     "Comparison",
     "EdgePattern",
     "GraphIndexes",
-    "GraphQuerySession",
     "INDEXED_ATTRS",
     "MatchQuery",
     "NodePattern",
@@ -90,31 +83,7 @@ __all__ = [
     "parse",
     "plan_match",
     "render",
-    "run_query",
     "shortest_path",
     "tokenize",
 ]
 
-
-# ---------------------------------------------------------------------------
-# Legacy surface (the original one-hop module's API)
-# ---------------------------------------------------------------------------
-
-def run_query(graph: PropertyGraph, query_text: str) -> List[Tuple]:
-    """Parse and evaluate a query; returns tuples in RETURN order."""
-    return QueryEngine.for_graph(graph).rows(query_text)
-
-
-class GraphQuerySession:
-    """Convenience wrapper binding a graph for repeated queries."""
-
-    def __init__(self, graph: PropertyGraph):
-        self.graph = graph
-        self._engine = QueryEngine.for_graph(graph)
-
-    def run(self, query_text: str) -> List[Tuple]:
-        return self._engine.rows(query_text)
-
-    def run_table(self, query_text: str) -> str:
-        """Run and render the result as an aligned ASCII table."""
-        return self._engine.run(query_text).render_table()

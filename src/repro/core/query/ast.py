@@ -249,15 +249,6 @@ class MatchQuery:
     def variables(self) -> list:
         return [node.var for node in self.nodes]
 
-    @property
-    def edge_type(self) -> Optional[EdgeType]:
-        """The single edge's type for legacy one-hop queries, else None."""
-        if len(self.edges) == 1:
-            edge = self.edges[0]
-            if not edge.is_variable and len(edge.types) == 1:
-                return edge.types[0]
-        return None
-
     def render(self) -> str:
         parts = ["MATCH ", self.nodes[0].render()]
         for edge, node in zip(self.edges, self.nodes[1:]):

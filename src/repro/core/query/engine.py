@@ -5,7 +5,9 @@ and Python callers all run queries through this class, so one parse /
 plan / execute path produces byte-identical rows everywhere. Built over
 a :class:`~repro.core.malgraph.MalGraph` the engine sees the enriched
 indexes (directed dependencies, ground-truth attributes, group ids);
-:meth:`QueryEngine.for_graph` serves the legacy graph-only surface.
+:meth:`QueryEngine.for_graph` queries a hand-built graph, and
+:meth:`QueryEngine.pinned` answers from one fixed index snapshot (what
+each enrichment-service generation serves).
 """
 
 from __future__ import annotations
@@ -67,14 +69,30 @@ class QueryEngine:
             raise QueryError("QueryEngine needs a MalGraph or a PropertyGraph")
         self.malgraph = malgraph
         self.graph = graph if graph is not None else malgraph.graph
+        self._pinned: Optional[GraphIndexes] = None
 
     @classmethod
     def for_graph(cls, graph: PropertyGraph) -> "QueryEngine":
         """An engine over a bare graph (no dataset enrichment)."""
         return cls(malgraph=None, graph=graph)
 
+    @classmethod
+    def pinned(cls, indexes: GraphIndexes) -> "QueryEngine":
+        """An engine answering every query from ``indexes`` alone.
+
+        Nothing it runs touches a live graph, so later mutations of the
+        graph the snapshot came from cannot change (or break) its rows.
+        """
+        engine = cls.__new__(cls)
+        engine.malgraph = engine.graph = None
+        engine._pinned = indexes
+        return engine
+
     def indexes(self) -> GraphIndexes:
-        """The cached (version-checked) indexes this engine queries."""
+        """The indexes this engine queries: its pinned snapshot, else the
+        graph's cached (version-checked) ones."""
+        if self._pinned is not None:
+            return self._pinned
         return graph_indexes(self.graph, self.malgraph)
 
     # -- queries ----------------------------------------------------------
@@ -94,10 +112,6 @@ class QueryEngine:
             elapsed_ms=elapsed_ms,
             plan=plan.describe(query) if plan is not None else query.procedure,
         )
-
-    def rows(self, query_text: str) -> List[Tuple]:
-        """Just the row tuples (the legacy ``run_query`` shape)."""
-        return list(self.run(query_text).rows)
 
     def explain(self, query_text: str) -> str:
         """The plan the executor would use, without running it."""

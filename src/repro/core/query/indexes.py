@@ -168,37 +168,23 @@ def build_indexes(
     into = dict(any_dir)
 
     group_members: Dict[str, Tuple[str, ...]] = {}
-    groups_of: Dict[str, List[str]] = {}
+    groups_of: Dict[str, Tuple[str, ...]] = {}
     if malgraph is not None:
         from repro.core.edges import node_id
-        from repro.core.groups import GroupKind
 
         dep_out, dep_in = _directed_dependency(malgraph)
         out[EdgeType.DEPENDENCY] = dep_out
         into[EdgeType.DEPENDENCY] = dep_in
 
         for entry in malgraph.dataset.entries:
-            node = node_id(entry.package)
-            held = attrs.get(node)
-            if held is None:
-                continue
-            held["campaign"] = entry.campaign_id
-            held["actor"] = entry.actor
-            held["family"] = entry.behavior_key
-            held["archetype"] = entry.archetype
-            held["downloads"] = entry.downloads
+            held = attrs.get(node_id(entry.package))
+            if held is not None:
+                _enrich_attrs(held, entry)
 
-        for kind in GroupKind:
-            for i, group in enumerate(malgraph.groups(kind)):
-                group_id = f"{kind.value}-{i:04d}"
-                members = tuple(
-                    sorted(node_id(m.package) for m in group.members)
-                )
-                group_members[group_id] = members
-                for member in members:
-                    groups_of.setdefault(member, []).append(group_id)
-                    if member in attrs:
-                        attrs[member][kind.value.lower()] = group_id
+        group_members, groups_of, group_attrs = _group_maps(malgraph)
+        for node, group_ids in group_attrs.items():
+            if node in attrs:
+                attrs[node].update(group_ids)
 
     by_attr: Dict[str, Dict[Any, List[str]]] = {}
     for node in sorted(attrs):
@@ -220,9 +206,7 @@ def build_indexes(
             for attr, buckets in by_attr.items()
         },
         group_members=group_members,
-        groups_of={
-            node: tuple(held) for node, held in sorted(groups_of.items())
-        },
+        groups_of=groups_of,
         version=graph.version,
         enriched=malgraph is not None,
         build_seconds=time.perf_counter() - started,
@@ -290,8 +274,10 @@ def apply_index_patches(
     """A fresh snapshot equal to ``build_indexes(graph, malgraph)``,
     derived from ``held`` by refreshing only what the patches touched.
 
-    Copy-on-write: untouched attr dicts and neighbour tuples are shared
-    with ``held`` (both snapshots are immutable by convention).
+    Copy-on-write: untouched attr dicts, neighbour tuples, group tuples
+    and inverted-index buckets are shared with ``held`` (both snapshots
+    are immutable by convention), so a batch allocates in proportion to
+    what it changed.
     """
     started = time.perf_counter()
     removed_any: set = set()
@@ -313,23 +299,13 @@ def apply_index_patches(
     attrs = dict(held.attrs)
     for node in final_removed:
         attrs.pop(node, None)
-    entry_of = {}
-    if malgraph is not None:
-        from repro.core.edges import node_id
-
-        entry_of = {
-            node_id(entry.package): entry
-            for entry in malgraph.dataset.entries
-        }
     for node in final_refresh:
         fresh: Dict[str, Any] = {"id": node, **graph.node(node)}
-        entry = entry_of.get(node)
-        if entry is not None:
-            fresh["campaign"] = entry.campaign_id
-            fresh["actor"] = entry.actor
-            fresh["family"] = entry.behavior_key
-            fresh["archetype"] = entry.archetype
-            fresh["downloads"] = entry.downloads
+        if malgraph is not None:
+            from repro.ecosystem.package import PackageId
+
+            package = PackageId(fresh["ecosystem"], fresh["name"], fresh["version"])
+            _enrich_attrs(fresh, malgraph.dataset.get(package))
         attrs[node] = fresh
 
     copied = set(final_refresh)
@@ -363,57 +339,117 @@ def apply_index_patches(
         out[EdgeType.DEPENDENCY] = dep_out
         into[EdgeType.DEPENDENCY] = dep_in
         if groups_changed:
-            from repro.core.edges import node_id
-            from repro.core.groups import GroupKind
+            group_members, groups_of, group_attrs = _group_maps(malgraph, held)
+            # nodes whose dg/deg/sg/cg attributes may differ: every old
+            # and new group member, plus the freshly rebuilt attr dicts
+            for node in set(held.groups_of) | set(groups_of) | final_refresh:
+                if node not in attrs:
+                    continue
+                want = group_attrs.get(node, {})
+                have = attrs[node]
+                if all(have.get(key) == want.get(key) for key in _GROUP_ATTRS):
+                    continue
+                node_attrs = mutable(node)
+                for key in _GROUP_ATTRS:
+                    node_attrs.pop(key, None)
+                node_attrs.update(want)
 
-            for group_id, members in held.group_members.items():
-                kind_attr = group_id.split("-", 1)[0].lower()
-                for member in members:
-                    if member in attrs:
-                        mutable(member).pop(kind_attr, None)
-            group_members = {}
-            fresh_groups_of: Dict[str, List[str]] = {}
-            for kind in GroupKind:
-                for i, group in enumerate(malgraph.groups(kind)):
-                    group_id = f"{kind.value}-{i:04d}"
-                    members = tuple(
-                        sorted(node_id(m.package) for m in group.members)
-                    )
-                    group_members[group_id] = members
-                    for member in members:
-                        fresh_groups_of.setdefault(member, []).append(group_id)
-                        if member in attrs:
-                            mutable(member)[kind.value.lower()] = group_id
-            groups_of = {
-                node: tuple(ids)
-                for node, ids in sorted(fresh_groups_of.items())
-            }
-
-    by_attr: Dict[str, Dict[Any, List[str]]] = {}
-    for node in sorted(attrs):
-        node_held = attrs[node]
-        for attr in INDEXED_ATTRS:
-            value = node_held.get(attr)
-            if value is None:
-                continue
-            by_attr.setdefault(attr, {}).setdefault(value, []).append(node)
-
+    changed_nodes = final_removed | copied
+    unchanged = not final_removed and all(n in held.attrs for n in final_refresh)
     return GraphIndexes(
-        nodes=tuple(sorted(attrs)),
+        nodes=held.nodes if unchanged else tuple(sorted(attrs)),
         attrs=attrs,
         out=out,
         into=into,
         any_dir=any_dir,
-        by_attr={
-            attr: {value: tuple(nodes) for value, nodes in buckets.items()}
-            for attr, buckets in by_attr.items()
-        },
+        by_attr=_patch_by_attr(held, attrs, changed_nodes),
         group_members=group_members,
         groups_of=groups_of,
         version=graph.version,
         enriched=held.enriched,
         build_seconds=time.perf_counter() - started,
     )
+
+
+#: the per-node group-id attributes of an enriched snapshot
+_GROUP_ATTRS = ("dg", "deg", "sg", "cg")
+
+
+def _enrich_attrs(held: Dict[str, Any], entry) -> None:
+    """Add a dataset entry's ground-truth attributes to a node's attrs."""
+    if entry is None:
+        return
+    held["campaign"] = entry.campaign_id
+    held["actor"] = entry.actor
+    held["family"] = entry.behavior_key
+    held["archetype"] = entry.archetype
+    held["downloads"] = entry.downloads
+
+
+def _group_maps(malgraph, held: Optional[GraphIndexes] = None):
+    """(group_members, groups_of, per-node group attrs) of ``malgraph``.
+
+    Member and group-id tuples equal to ``held``'s are taken from it, so
+    unchanged groups stay shared between snapshots.
+    """
+    from repro.core.edges import node_id
+    from repro.core.groups import GroupKind
+
+    group_members: Dict[str, Tuple[str, ...]] = {}
+    fresh_groups_of: Dict[str, List[str]] = {}
+    group_attrs: Dict[str, Dict[str, str]] = {}
+    for kind in GroupKind:
+        key = kind.value.lower()
+        for i, group in enumerate(malgraph.groups(kind)):
+            group_id = f"{kind.value}-{i:04d}"
+            members = tuple(sorted(node_id(m.package) for m in group.members))
+            if held is not None and held.group_members.get(group_id) == members:
+                members = held.group_members[group_id]
+            group_members[group_id] = members
+            for member in members:
+                fresh_groups_of.setdefault(member, []).append(group_id)
+                group_attrs.setdefault(member, {})[key] = group_id
+    groups_of: Dict[str, Tuple[str, ...]] = {}
+    for node, ids in sorted(fresh_groups_of.items()):
+        ids = tuple(ids)
+        if held is not None and held.groups_of.get(node) == ids:
+            ids = held.groups_of[node]
+        groups_of[node] = ids
+    return group_members, groups_of, group_attrs
+
+
+def _patch_by_attr(
+    held: GraphIndexes, attrs: Dict[str, Dict[str, Any]], changed: set
+) -> Dict[str, Dict[Any, Tuple[str, ...]]]:
+    """``held.by_attr`` with only the buckets ``changed`` nodes left or
+    joined rebuilt (each still a sorted node tuple)."""
+    joined: Dict[str, Dict[Any, List[str]]] = {}
+    dirty: Dict[str, set] = {}
+    for node in changed:
+        before = held.attrs.get(node, {})
+        after = attrs.get(node, {})
+        for attr in INDEXED_ATTRS:
+            old, new = before.get(attr), after.get(attr)
+            if new is not None:
+                joined.setdefault(attr, {}).setdefault(new, []).append(node)
+            if old != new:
+                values = dirty.setdefault(attr, set())
+                values.update(v for v in (old, new) if v is not None)
+    by_attr = dict(held.by_attr)
+    for attr, values in dirty.items():
+        buckets = dict(by_attr.get(attr, {}))
+        for value in values:
+            members = {n for n in buckets.get(value, ()) if n not in changed}
+            members.update(joined.get(attr, {}).get(value, ()))
+            if members:
+                buckets[value] = tuple(sorted(members))
+            else:
+                buckets.pop(value, None)
+        if buckets:
+            by_attr[attr] = buckets
+        else:
+            by_attr.pop(attr, None)
+    return by_attr
 
 
 # ---------------------------------------------------------------------------

@@ -229,8 +229,6 @@ class Parser:
                 f"expected edge, got {lead.value!r}", self.text, lead.pos
             )
         self.expect("[")
-        if self.at_value(":"):  # legacy `[:type]` spelling
-            self.next()
         types = self._edge_types()
         min_hops, max_hops = self._hops()
         self.expect("]")

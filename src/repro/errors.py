@@ -80,10 +80,6 @@ class NodeNotFoundError(GraphError):
     """A graph operation referenced a node id that does not exist."""
 
 
-class EdgeTypeError(GraphError):
-    """An unknown edge type was referenced."""
-
-
 class EmbeddingError(ReproError):
     """Source code could not be embedded (unparseable and no fallback)."""
 
@@ -150,12 +146,6 @@ class FeedTruncatedError(TransientError):
     def __init__(self, message: str, partial: Optional[List] = None):
         super().__init__(message)
         self.partial: List = list(partial or [])
-
-
-class CircuitOpenError(TransientError):
-    """An operation was refused because its circuit breaker is open."""
-
-    kind = "circuit_open"
 
 
 class DatasetError(ReproError):

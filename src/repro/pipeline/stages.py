@@ -332,11 +332,16 @@ class PipelineRuntime:
         )
 
     def _record_elided(self, *stages: str) -> None:
-        """Stages a cache hit made unnecessary count as zero-cost hits."""
+        """Stages a cache hit made unnecessary count as zero-cost hits.
+
+        A stage this report already resolved (built, loaded or elided)
+        was not made unnecessary by the hit, so it is not counted again.
+        """
+        resolved = {(run.stage, run.fingerprint) for run in self.report.runs}
         for stage in stages:
-            self.report.record(
-                stage, STATUS_HIT, SOURCE_ELIDED, 0.0, self.fingerprint(stage)
-            )
+            fp = self.fingerprint(stage)
+            if (stage, fp) not in resolved:
+                self.report.record(stage, STATUS_HIT, SOURCE_ELIDED, 0.0, fp)
 
     # -- resolution --------------------------------------------------------
     def _resolve_world(self) -> World:

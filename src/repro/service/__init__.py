@@ -9,8 +9,9 @@ campaign / actor associations and related indicators.
 Layers, bottom to top:
 
 * :mod:`repro.service.index` — :class:`IntelIndex`, O(1) inverted
-  indexes over graph + dataset + groups, built in one pass, cloneable
-  for copy-on-write refresh;
+  indexes over the dataset plus MALGRAPH's immutable query-index
+  snapshot for groups and neighbours, cloneable for copy-on-write
+  refresh;
 * :mod:`repro.service.enrich` — :class:`EnrichmentEngine`, indicator →
   structured :class:`EnrichmentResult` with typosquat-distance fallback;
 * :mod:`repro.service.cache` — immutable :class:`ServiceSnapshot`
@@ -33,10 +34,11 @@ Layers, bottom to top:
   error boundary and validated request framing (``/v1/enrich``,
   ``/v1/enrich/batch``, ``/v1/query``, ``/v1/feed``, ``/v1/stats``,
   ``/v1/metrics``, ``/v1/healthz``);
-* :mod:`repro.service.refresh` — incremental index refresh from a
-  :mod:`repro.collection.merge` diff, applied to a clone and published
-  as the next snapshot generation — readers never wait and never see a
-  half-applied batch.
+* :mod:`repro.service.refresh` — incremental index refresh: event
+  batches (or a :mod:`repro.collection.merge` of a re-collection) run
+  through the MALGRAPH delta engine, are applied to a clone and
+  published as the next snapshot generation — readers never wait and
+  never see a half-applied batch.
 """
 
 from repro.service.cache import (
@@ -66,7 +68,7 @@ from repro.service.feed import (
 from repro.service.index import IntelIndex, source_reliability
 from repro.service.metrics import LatencyHistogram, ServiceMetrics
 from repro.service.ratelimit import RateLimiter, TokenBucket
-from repro.service.refresh import RefreshStats, refresh_index
+from repro.service.refresh import refresh_index
 from repro.service.server import (
     MAX_BODY_BYTES,
     MAX_QUERY_LENGTH,
@@ -90,7 +92,6 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_QUERY_LENGTH",
     "RateLimiter",
-    "RefreshStats",
     "ServiceMetrics",
     "ServiceSnapshot",
     "ShardedLRUCache",

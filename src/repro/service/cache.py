@@ -14,8 +14,9 @@ Concurrency model (the part a million-user front end cares about):
   :class:`~repro.service.index.IntelIndex` and the query engine are
   published together as one immutable :class:`ServiceSnapshot`; a
   request loads the snapshot with a single atomic attribute read and
-  resolves everything against that generation. No request ever takes
-  ``service.lock``.
+  resolves everything against that generation. The index and the query
+  engine read the same MALGRAPH query-index snapshot, never the live
+  graph. No request ever takes ``service.lock``.
 * Writes (``refresh``/``invalidate``) serialise on ``service.lock``,
   build the next state off to the side (a cloned index, see
   :meth:`~repro.service.index.IntelIndex.clone`), and install it with
@@ -273,10 +274,12 @@ class EnrichmentService:
         """Install ``index`` as the next generation (writer-lock held).
 
         Wraps the index in a fresh engine carrying the outgoing engine's
-        tuning (squat index, distances), bumps the generation, swaps the
-        snapshot with one assignment and clears the cache — old-
-        generation entries would never be looked up again anyway (keys
-        are generation-tagged), clearing just returns the memory.
+        tuning (squat index, distances), pins a query engine (when the
+        service has one) to the index's own query-index snapshot, bumps
+        the generation, swaps the snapshot with one assignment and
+        clears the cache — old-generation entries would never be looked
+        up again anyway (keys are generation-tagged), clearing just
+        returns the memory.
         """
         with self.lock:
             old = self._snapshot
@@ -290,7 +293,11 @@ class EnrichmentService:
             snapshot = ServiceSnapshot(
                 generation=old.generation + 1,
                 engine=engine,
-                query_engine=old.query_engine,
+                query_engine=(
+                    QueryEngine.pinned(index.indexes)
+                    if old.query_engine is not None
+                    else None
+                ),
             )
             fresh = (
                 self._new_detections(old.index, index)
@@ -403,7 +410,7 @@ def build_service(
         engine,
         capacity=capacity,
         degraded=degraded,
-        query_engine=QueryEngine(malgraph),
+        query_engine=QueryEngine.pinned(engine.index.indexes),
         shards=shards,
         source_health=source_health,
         webhook=webhook,

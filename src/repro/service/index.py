@@ -2,16 +2,21 @@
 
 The offline graph answers "what is related to package X" by walking
 edges; a serving layer cannot afford a walk per request. The
-:class:`IntelIndex` is built in one pass over the dataset, the graph and
-the DG/DeG/SG/CG group extraction, and afterwards resolves every
-indicator shape the enrichment API accepts — name, name+version, SHA256
-signature, ecosystem, family/group id, actor alias — with dictionary
-lookups.
+:class:`IntelIndex` is built in one pass over the dataset and the
+report actors, and afterwards resolves every indicator shape the
+enrichment API accepts — name, name+version, SHA256 signature,
+ecosystem, actor alias — with dictionary lookups.
+
+Families, campaigns and neighbours are not indexed here: the index holds
+MALGRAPH's enriched query-index snapshot
+(:meth:`~repro.core.malgraph.MalGraph.query_indexes`), whose DG/DeG/SG/CG
+group maps and neighbour tuples are immutable, so one generation answers
+from one point in time while the next refresh evolves the graph.
 
 The index stores :class:`~repro.ecosystem.package.PackageId` keys only
 and resolves entries through the live dataset reference, which is what
-lets :mod:`repro.service.refresh` swap in a merged dataset and index the
-delta without rebuilding anything.
+lets :mod:`repro.service.refresh` swap in the evolved dataset and index
+the delta without rebuilding anything.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.collection.records import CollectedReport, DatasetEntry, MalwareDataset
 from repro.core.edges import node_id
-from repro.core.graph import EdgeType, PropertyGraph
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
+from repro.core.query.indexes import GraphIndexes
 from repro.detection.typosquat import _normalize, damerau_levenshtein
 from repro.intel.sources import SOURCE_INDEX, Sector, SourceProfile
 
@@ -30,6 +35,10 @@ from repro.intel.sources import SOURCE_INDEX, Sector, SourceProfile
 #: DG/SG groups recover families, DeG/CG groups recover campaigns).
 FAMILY_KINDS = (GroupKind.DG, GroupKind.SG)
 CAMPAIGN_KINDS = (GroupKind.DEG, GroupKind.CG)
+
+#: group ids are ``{kind}-{i:04d}``, so the kind is the id's prefix
+_FAMILY_PREFIXES = tuple(f"{kind.value}-" for kind in FAMILY_KINDS)
+_CAMPAIGN_PREFIXES = tuple(f"{kind.value}-" for kind in CAMPAIGN_KINDS)
 
 #: Sector base weight of :func:`source_reliability` — primary detectors
 #: (industry) rank above retrospective aggregators (academia) above
@@ -70,22 +79,20 @@ def _deletion_variants(norm: str) -> Set[str]:
 class IntelIndex:
     """One-pass inverted indexes over a built :class:`MalGraph`."""
 
-    def __init__(self, dataset: MalwareDataset, graph: Optional[PropertyGraph] = None):
+    def __init__(self, dataset: MalwareDataset):
         self.dataset = dataset
-        self.graph = graph
+        #: MALGRAPH's enriched query indexes as of this index's
+        #: generation: the group and neighbour table (see replace_groups)
+        self.indexes: Optional[GraphIndexes] = None
         self._by_name: Dict[str, List] = {}  # lowercase name -> [PackageId]
         self._by_sha: Dict[str, List] = {}
         self._by_ecosystem: Dict[str, List] = {}
-        self._groups_of: Dict[object, List[str]] = {}  # PackageId -> [group id]
-        self._group_members: Dict[str, List] = {}
-        self._group_kind: Dict[str, GroupKind] = {}
         self._actors_of: Dict[object, List[str]] = {}
         self._actor_packages: Dict[str, List] = {}  # lowercase alias -> ids
         self._actor_label: Dict[str, str] = {}
         self._norm_names: Dict[str, Set[str]] = {}  # normalized -> lowercase names
         self._deletions: Dict[str, Set[str]] = {}  # variant -> normalized names
         self._indexed_reports: Set[str] = set()
-        self._refresh_groups = 0  # counter for refresh-created group ids
         #: advanced once per applied refresh/delta batch; 0 = cold build
         self.epoch = 0
         #: wall-clock time of the last applied batch (None = never)
@@ -95,15 +102,10 @@ class IntelIndex:
     @classmethod
     def build(cls, malgraph: MalGraph) -> "IntelIndex":
         """Index a built graph: entries, groups and report actors."""
-        index = cls(malgraph.dataset, malgraph.graph)
+        index = cls(malgraph.dataset)
         for entry in malgraph.dataset.entries:
             index.add_entry(entry)
-        for kind in GroupKind:
-            for i, group in enumerate(malgraph.groups(kind)):
-                group_id = f"{kind.value}-{i:04d}"
-                index.register_group(
-                    group_id, kind, [m.package for m in group.members]
-                )
+        index.replace_groups(malgraph)
         for report in malgraph.dataset.reports:
             index.add_report(report)
         return index
@@ -116,23 +118,21 @@ class IntelIndex:
         against the original, then publishes the clone atomically. Every
         mutable container (the bucket dicts and their lists/sets) is
         copied one level deep — entries, package ids and reports are
-        value objects shared by reference; the dataset and graph
-        references carry over and are retargeted by the refresh itself.
+        value objects shared by reference; the dataset and the immutable
+        query-index snapshot carry over and are replaced by the refresh
+        itself.
         """
-        other = IntelIndex(self.dataset, self.graph)
+        other = IntelIndex(self.dataset)
+        other.indexes = self.indexes
         other._by_name = {k: list(v) for k, v in self._by_name.items()}
         other._by_sha = {k: list(v) for k, v in self._by_sha.items()}
         other._by_ecosystem = {k: list(v) for k, v in self._by_ecosystem.items()}
-        other._groups_of = {k: list(v) for k, v in self._groups_of.items()}
-        other._group_members = {k: list(v) for k, v in self._group_members.items()}
-        other._group_kind = dict(self._group_kind)
         other._actors_of = {k: list(v) for k, v in self._actors_of.items()}
         other._actor_packages = {k: list(v) for k, v in self._actor_packages.items()}
         other._actor_label = dict(self._actor_label)
         other._norm_names = {k: set(v) for k, v in self._norm_names.items()}
         other._deletions = {k: set(v) for k, v in self._deletions.items()}
         other._indexed_reports = set(self._indexed_reports)
-        other._refresh_groups = self._refresh_groups
         other.epoch = self.epoch
         other.last_delta_at = self.last_delta_at
         return other
@@ -193,10 +193,6 @@ class IntelIndex:
             if not eco_bucket:
                 del self._by_ecosystem[pid.ecosystem]
         self.unregister_sha(entry.sha256(), pid)
-        for group_id in self._groups_of.pop(pid, []):
-            members = self._group_members.get(group_id)
-            if members is not None and pid in members:
-                members.remove(pid)
         for alias in self._actors_of.pop(pid, []):
             alias_bucket = self._actor_packages.get(alias.lower())
             if alias_bucket is not None and pid in alias_bucket:
@@ -217,47 +213,17 @@ class IntelIndex:
                             if not variants:
                                 del self._deletions[variant]
 
-    def register_group(self, group_id: str, kind: GroupKind, members: Sequence) -> None:
-        """Register a family/campaign group over member package ids."""
-        self._group_kind[group_id] = kind
-        held = self._group_members.setdefault(group_id, [])
-        for pid in members:
-            if pid not in held:
-                held.append(pid)
-            groups = self._groups_of.setdefault(pid, [])
-            if group_id not in groups:
-                groups.append(group_id)
+    def replace_groups(self, malgraph: MalGraph) -> None:
+        """Install ``malgraph``'s enriched query indexes as this index's
+        group and neighbour table.
 
-    def replace_groups(self, kind: GroupKind, groups: Sequence[Sequence]) -> None:
-        """Swap every group of one kind for a fresh positional set.
-
-        Drops all existing ids of the kind — including refresh-scoped
-        ``<kind>-rNNNN`` ids — and re-registers ``{kind}-{i:04d}`` over
-        ``groups`` (member package-id lists). The delta-routed refresh
-        uses this to mirror the evolved MALGRAPH's group extraction
-        wholesale, which is how SG/DeG memberships stay live instead of
-        waiting for the next cold build.
+        The snapshot carries MALGRAPH's exact DG/DeG/SG/CG groups under
+        ``{kind}-{i:04d}`` ids and every node's neighbours. After a
+        delta batch the graph derives it copy-on-write from the batch's
+        index patch, and the snapshot an older generation holds never
+        changes.
         """
-        stale = [
-            group_id
-            for group_id, held in self._group_kind.items()
-            if held is kind
-        ]
-        for group_id in stale:
-            for pid in self._group_members.pop(group_id, ()):
-                held = self._groups_of.get(pid)
-                if held is not None and group_id in held:
-                    held.remove(group_id)
-                    if not held:
-                        del self._groups_of[pid]
-            del self._group_kind[group_id]
-        for i, members in enumerate(groups):
-            self.register_group(f"{kind.value}-{i:04d}", kind, list(members))
-
-    def next_refresh_group_id(self, kind: GroupKind) -> str:
-        """A fresh ``<kind>-rNNNN`` id for a refresh-discovered group."""
-        self._refresh_groups += 1
-        return f"{kind.value}-r{self._refresh_groups:04d}"
+        self.indexes = malgraph.query_indexes()
 
     def add_report(self, report: CollectedReport) -> None:
         """Index a report's actor alias over its resolved packages."""
@@ -286,10 +252,6 @@ class IntelIndex:
     def lookup_sha256(self, sha256: str) -> List[DatasetEntry]:
         return self.entries(self._by_sha.get(sha256.lower(), ()))
 
-    def sha_bucket(self, sha256: str) -> List:
-        """Package ids sharing one signature (duplicated-family seed)."""
-        return list(self._by_sha.get(sha256, ()))
-
     def lookup_name(
         self, name: str, ecosystem: Optional[str] = None
     ) -> List[DatasetEntry]:
@@ -313,26 +275,14 @@ class IntelIndex:
     def lookup_actor(self, alias: str) -> List[DatasetEntry]:
         return self.entries(self._actor_packages.get(alias.lower(), ()))
 
-    def lookup_group(self, group_id: str) -> List[DatasetEntry]:
-        return self.entries(self._group_members.get(group_id, ()))
-
-    def group_kind(self, group_id: str) -> Optional[GroupKind]:
-        return self._group_kind.get(group_id)
-
     def groups_of(self, pid) -> List[str]:
-        return list(self._groups_of.get(pid, ()))
+        return list(self.indexes.groups_of.get(node_id(pid), ()))
 
     def families_of(self, pid) -> List[str]:
-        return [
-            g for g in self._groups_of.get(pid, ()) if self._group_kind[g] in FAMILY_KINDS
-        ]
+        return [g for g in self.groups_of(pid) if g.startswith(_FAMILY_PREFIXES)]
 
     def campaigns_of(self, pid) -> List[str]:
-        return [
-            g
-            for g in self._groups_of.get(pid, ())
-            if self._group_kind[g] in CAMPAIGN_KINDS
-        ]
+        return [g for g in self.groups_of(pid) if g.startswith(_CAMPAIGN_PREFIXES)]
 
     def actors_of(self, pid) -> List[str]:
         return list(self._actors_of.get(pid, ()))
@@ -341,21 +291,10 @@ class IntelIndex:
         return sorted(self._actor_label.values())
 
     def related(self, pid, limit: int = 25) -> List[str]:
-        """Graph-neighbour node ids across every edge type (capped).
-
-        Packages indexed after an incremental refresh have no graph node
-        yet; they fall back to their group co-members.
-        """
+        """Graph-neighbour node ids across every edge type (capped)."""
         nid = node_id(pid)
-        found: Set[str] = set()
-        if self.graph is not None and self.graph.has_node(nid):
-            for edge_type in EdgeType:
-                found.update(self.graph.neighbors(nid, edge_type))
-        else:
-            for group_id in self._groups_of.get(pid, ()):
-                found.update(node_id(p) for p in self._group_members[group_id])
-        found.discard(nid)
-        return sorted(found)[:limit]
+        # neighbors() over every type is already sorted and distinct
+        return [n for n in self.indexes.neighbors(nid) if n != nid][:limit]
 
     def near_names(
         self, name: str, ecosystem: Optional[str] = None, max_distance: int = 2
@@ -423,7 +362,7 @@ class IntelIndex:
             "names": len(self._by_name),
             "signatures": len(self._by_sha),
             "ecosystems": len(self._by_ecosystem),
-            "groups": len(self._group_members),
+            "groups": len(self.indexes.group_members),
             "actors": len(self._actor_packages),
             "reports": len(self._indexed_reports),
             "epoch": self.epoch,

@@ -246,19 +246,3 @@ def default_dataset(
     """The canonical collected dataset (shared via the artifact store)."""
     return default_collection(seed, scale, horizon, detection_latency_scale).dataset
 
-
-def default_columnar(
-    seed: int = 7,
-    scale: float = 1.0,
-    horizon: int = STUDY_HORIZON_DAYS,
-    detection_latency_scale: float = 1.0,
-) -> MalwareDataset:
-    """The canonical dataset as a columnar corpus (DESIGN.md §12).
-
-    A :class:`repro.core.columnar.ColumnarMalwareDataset`: drop-in for
-    :func:`default_dataset` everywhere a ``MalwareDataset`` is accepted,
-    with array-backed fast paths underneath. Resolves through the store
-    like every stage — a warmed disk cache memory-maps straight in
-    without re-running collection.
-    """
-    return _runtime(seed, scale, horizon, detection_latency_scale).columnar()

@@ -47,10 +47,10 @@ def test_similar_to_x_coexisting_with_campaign(engine):
             break
     assert pick, "small world should contain a similar→coexisting→campaign path"
     name, campaign, witness = pick
-    rows = engine.rows(
+    rows = engine.run(
         f"MATCH (a {{name: '{name}'}})-[similar]-(b)-[coexisting]-(c) "
         f"WHERE c.campaign = '{campaign}' RETURN b"
-    )
+    ).rows
     found = {r[0] for r in rows}
     assert witness in found
     # verify every row against raw adjacency

@@ -107,9 +107,9 @@ def test_variable_hops_match_reference(seeded, engine, lo, hi):
     graph, adjacency = seeded
     hops = f"*{lo}..{hi}" if hi is not None else f"*{lo}.."
     for start in ["n00", "n07", "n13"]:
-        rows = engine.rows(
+        rows = engine.run(
             f"MATCH (a {{name: 'pkg{start[1:]}'}})-[similar{hops}]-(b) RETURN b"
-        )
+        ).rows
         expected = ref_reach(adjacency[EdgeType.SIMILAR], start, lo, hi)
         assert {r[0] for r in rows} == expected
 
@@ -120,9 +120,9 @@ def test_multi_type_hop_matches_reference(seeded, engine):
     for t in (EdgeType.SIMILAR, EdgeType.COEXISTING):
         for node, others in adjacency[t].items():
             merged.setdefault(node, set()).update(others)
-    rows = engine.rows(
+    rows = engine.run(
         "MATCH (a {name: 'pkg05'})-[similar|coexisting*1..2]-(b) RETURN b"
-    )
+    ).rows
     assert {r[0] for r in rows} == ref_reach(merged, "n05", 1, 2)
 
 
@@ -132,16 +132,16 @@ def test_untyped_edge_spans_all_types(seeded, engine):
     for per_type in adjacency.values():
         for node, others in per_type.items():
             merged.setdefault(node, set()).update(others)
-    rows = engine.rows("MATCH (a {name: 'pkg00'})-[]-(b) RETURN b")
+    rows = engine.run("MATCH (a {name: 'pkg00'})-[]-(b) RETURN b").rows
     assert {r[0] for r in rows} == merged.get("n00", set())
 
 
 def test_chain_join_matches_enumeration(seeded, engine):
     graph, adjacency = seeded
-    rows = engine.rows(
+    rows = engine.run(
         "MATCH (a)-[similar]-(b)-[coexisting]-(c) "
         "WHERE a.ecosystem = 'npm' RETURN a, b, c"
-    )
+    ).rows
     # bindings need not be distinct across non-adjacent variables, so
     # a == c paths are legitimate rows
     expected = {
@@ -187,15 +187,15 @@ def test_directed_hop_follows_dependency_direction(malgraph):
     assert pairs
     u, v = sorted(pairs)[0]
     name = engine.indexes().node_attrs(u)["name"]
-    out_rows = engine.rows(
+    out_rows = engine.run(
         f"MATCH (a {{id: '{u}'}})-[dependency]->(b) RETURN b"
-    )
+    ).rows
     assert {r[0] for r in out_rows} == {t for s, t in pairs if s == u}
-    in_rows = engine.rows(
+    in_rows = engine.run(
         f"MATCH (a {{id: '{u}'}})<-[dependency]-(b) RETURN b"
-    )
+    ).rows
     assert {r[0] for r in in_rows} == {s for s, t in pairs if t == u}
-    any_rows = engine.rows(f"MATCH (a {{id: '{u}'}})-[dependency]-(b) RETURN b")
+    any_rows = engine.run(f"MATCH (a {{id: '{u}'}})-[dependency]-(b) RETURN b").rows
     assert {r[0] for r in any_rows} == {t for s, t in pairs if s == u} | {
         s for s, t in pairs if t == u
     }
@@ -204,10 +204,10 @@ def test_directed_hop_follows_dependency_direction(malgraph):
 def test_reversed_chain_equals_forward_chain(malgraph):
     """(a)-[dep]->(b) enumerates the same pairs as (b)<-[dep]-(a)."""
     engine = QueryEngine(malgraph)
-    forward = set(engine.rows("MATCH (a)-[dependency]->(b) RETURN a, b"))
+    forward = set(engine.run("MATCH (a)-[dependency]->(b) RETURN a, b").rows)
     backward = {
         (a, b)
-        for b, a in engine.rows("MATCH (b)<-[dependency]-(a) RETURN b, a")
+        for b, a in engine.run("MATCH (b)<-[dependency]-(a) RETURN b, a").rows
     }
     pairs = {
         (node_id(e.package), node_id(t.package))

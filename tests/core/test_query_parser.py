@@ -56,9 +56,9 @@ def test_undirected_typed_edge():
 
 
 def test_legacy_colon_edge_spelling():
-    assert parse("MATCH (a)-[:similar]-(b) RETURN a") == parse(
-        "MATCH (a)-[similar]-(b) RETURN a"
-    )
+    """The retired ``[:type]`` spelling is a syntax error, not an alias."""
+    with pytest.raises(QuerySyntaxError):
+        parse("MATCH (a)-[:similar]-(b) RETURN a")
 
 
 def test_untyped_edge_matches_any_type():

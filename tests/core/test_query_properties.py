@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import EdgeType, PropertyGraph
-from repro.core.query import run_query
+from repro.core.query import QueryEngine
 
 _ECOSYSTEMS = ["npm", "pypi", "rubygems"]
 
@@ -37,9 +37,9 @@ def graphs(draw):
 @settings(max_examples=80, deadline=None)
 def test_node_filter_matches_reference(data, eco):
     graph, attrs, _edges = data
-    rows = run_query(
-        graph, f"MATCH (a) WHERE a.ecosystem = '{eco}' RETURN a"
-    )
+    rows = QueryEngine.for_graph(graph).run(
+        f"MATCH (a) WHERE a.ecosystem = '{eco}' RETURN a"
+    ).rows
     expected = {node for node, a in attrs.items() if a["ecosystem"] == eco}
     assert {r[0] for r in rows} == expected
 
@@ -48,9 +48,9 @@ def test_node_filter_matches_reference(data, eco):
 @settings(max_examples=80, deadline=None)
 def test_numeric_filter_matches_reference(data, threshold):
     graph, attrs, _edges = data
-    rows = run_query(
-        graph, f"MATCH (a) WHERE a.release_day <= {threshold} RETURN a"
-    )
+    rows = QueryEngine.for_graph(graph).run(
+        f"MATCH (a) WHERE a.release_day <= {threshold} RETURN a"
+    ).rows
     expected = {n for n, a in attrs.items() if a["release_day"] <= threshold}
     assert {r[0] for r in rows} == expected
 
@@ -59,7 +59,7 @@ def test_numeric_filter_matches_reference(data, threshold):
 @settings(max_examples=80, deadline=None)
 def test_edge_expansion_matches_reference(data):
     graph, _attrs, edges = data
-    rows = run_query(graph, "MATCH (a)-[:similar]-(b) RETURN a, b")
+    rows = QueryEngine.for_graph(graph).run("MATCH (a)-[similar]-(b) RETURN a, b").rows
     seen = {frozenset(row) for row in rows}
     assert seen == edges
     # every undirected edge appears exactly twice (both orientations)
@@ -70,7 +70,7 @@ def test_edge_expansion_matches_reference(data):
 @settings(max_examples=60, deadline=None)
 def test_count_matches_row_count(data):
     graph, attrs, _edges = data
-    (count,) = run_query(graph, "MATCH (a) RETURN count(*)")[0]
+    (count,) = QueryEngine.for_graph(graph).run("MATCH (a) RETURN count(*)").rows[0]
     assert count == len(attrs)
 
 
@@ -78,7 +78,9 @@ def test_count_matches_row_count(data):
 @settings(max_examples=60, deadline=None)
 def test_limit_truncates(data, limit):
     graph, attrs, _edges = data
-    rows = run_query(graph, f"MATCH (a) RETURN a ORDER BY a.release_day LIMIT {limit}")
+    rows = QueryEngine.for_graph(graph).run(
+        f"MATCH (a) RETURN a ORDER BY a.release_day LIMIT {limit}"
+    ).rows
     assert len(rows) == min(limit, len(attrs))
 
 
@@ -86,6 +88,8 @@ def test_limit_truncates(data, limit):
 @settings(max_examples=60, deadline=None)
 def test_order_by_sorts(data):
     graph, attrs, _edges = data
-    rows = run_query(graph, "MATCH (a) RETURN a.release_day ORDER BY a.release_day")
+    rows = QueryEngine.for_graph(graph).run(
+        "MATCH (a) RETURN a.release_day ORDER BY a.release_day"
+    ).rows
     days = [r[0] for r in rows]
     assert days == sorted(days)

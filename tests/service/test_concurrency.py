@@ -5,18 +5,21 @@ whole module inside the tier-1 budget (< 5 s)."""
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from typing import Tuple
 
 import pytest
 
+from repro.core.delta.events import GraphEvent
 from repro.core.malgraph import MalGraph
 from repro.service.cache import EnrichmentService, build_service
 from repro.service.enrich import Indicator
-from repro.service.refresh import refresh_index
+from repro.service.refresh import refresh_from_events, refresh_index
 from repro.service.server import create_server, server_address
 
 from tests.core.helpers import dataset, entry
@@ -25,19 +28,21 @@ THREADS = 8
 ROUNDS = 25
 
 
-def _mini_service() -> EnrichmentService:
-    """A hand-built eight-package service (no world simulation)."""
+def _mini_service() -> Tuple[EnrichmentService, MalGraph]:
+    """A hand-built eight-package service (no world simulation) and the
+    graph its refreshes evolve."""
     entries = [
         entry(f"pkg-{i}", code=f"def payload():\n    return {i}\n")
         for i in range(8)
     ]
-    return build_service(MalGraph.build(dataset(entries)), capacity=64)
+    malgraph = MalGraph.build(dataset(entries))
+    return build_service(malgraph, capacity=64), malgraph
 
 
 def test_thread_hammer_mixed_traffic_exact_accounting():
     """N threads x M rounds of enrich/batch/invalidate/refresh: counters
     stay exact (hits + misses == cache probes) and nothing escapes."""
-    service = _mini_service()
+    service, malgraph = _mini_service()
     extra = dataset(
         [entry("late-pkg", code="def late():\n    return 9\n")]
     )
@@ -70,7 +75,9 @@ def test_thread_hammer_mixed_traffic_exact_accounting():
                 elif op == 2:
                     service.invalidate()
                 else:
-                    refresh_index(service.index, extra, service=service)
+                    refresh_index(
+                        service.index, extra, service=service, malgraph=malgraph
+                    )
         except Exception as failure:  # noqa: BLE001 - the assertion target
             failures.append(failure)
 
@@ -91,11 +98,19 @@ def test_thread_hammer_mixed_traffic_exact_accounting():
 
 
 def test_refresh_under_load_readers_never_see_a_torn_generation():
-    """While a writer publishes generation after generation, every batch
-    read resolves against exactly one snapshot: the two packages added
-    together by one refresh are always both visible or both absent, and
-    the shard-summed hit/miss books stay exact throughout."""
-    service = _mini_service()
+    """While a writer publishes generation after generation through the
+    delta engine, every read resolves against exactly one snapshot: the
+    two packages added together by one batch are always both visible or
+    both absent, to ``batch_enrich`` and to 1-hop ``/v1/query`` alike.
+    Each batch also removes the previous batch's duplicate of ``pkg-0``,
+    whose ``malicious`` verdict (and so its ``related`` neighbours) every
+    read asks for. No read raises, and the shard-summed hit/miss books
+    and the server's request books stay exact throughout."""
+    service, malgraph = _mini_service()
+    server = create_server(service, port=0)
+    host, port = server_address(server)
+    serving = threading.Thread(target=server.serve_forever, daemon=True)
+    serving.start()
     letters = "abcdef"
 
     def pair(g: int):
@@ -105,22 +120,30 @@ def test_refresh_under_load_readers_never_see_a_torn_generation():
         stem = letters[g] * 3
         return f"{stem}pkg-a", f"{stem}pkg-b"
 
+    def decoy(g: int):
+        return entry(f"decoy-{g}", code="def payload():\n    return 0\n")
+
     stop = threading.Event()
     failures = []
     probes = threading.Lock()
     expected_probes = [0]
+    queries_sent = [0]
 
     def refresher() -> None:
         try:
             for g in range(len(letters)):
                 left, right = pair(g)
-                extra = dataset(
-                    [
-                        entry(left, code=f"def l():\n    return {g}\n"),
-                        entry(right, code=f"def r():\n    return {g + 100}\n"),
-                    ]
+                code = f"def twin():\n    return {g}\n"
+                events = [
+                    GraphEvent.package_added(entry(left, code=code)),
+                    GraphEvent.package_added(entry(right, code=code)),
+                    GraphEvent.package_added(decoy(g)),
+                ]
+                if g:
+                    events.append(GraphEvent.package_removed(decoy(g - 1).package))
+                refresh_from_events(
+                    service.index, events, service=service, malgraph=malgraph
                 )
-                refresh_index(service.index, extra, service=service)
                 time.sleep(0.002)  # let readers overlap each generation
         except Exception as failure:  # noqa: BLE001 - the assertion target
             failures.append(failure)
@@ -133,15 +156,24 @@ def test_refresh_under_load_readers_never_see_a_torn_generation():
             while not stop.is_set() and rounds < 5000:
                 left, right = pair((worker + rounds) % len(letters))
                 got = service.batch_enrich(
-                    [Indicator(name=left), Indicator(name=right)]
+                    [Indicator(name=left), Indicator(name=right), Indicator(name="pkg-0")]
                 )
                 verdicts = [r.verdict == "malicious" for r in got]
                 assert verdicts[0] == verdicts[1], (
                     f"torn read: {left}={got[0].verdict} "
                     f"{right}={got[1].verdict}"
                 )
+                assert verdicts[2], got[2].verdict
                 with probes:
-                    expected_probes[0] += 2
+                    expected_probes[0] += 3
+                status, body = _post(
+                    f"http://{host}:{port}/v1/query",
+                    {"pattern": f"MATCH (a {{name: '{left}'}})-[duplicated]-(b) RETURN b.name"},
+                )
+                assert status == 200
+                assert body["rows"] in ([], [[right]]), body["rows"]
+                with probes:
+                    queries_sent[0] += 1
                 rounds += 1
         except Exception as failure:  # noqa: BLE001 - the assertion target
             failures.append(failure)
@@ -149,19 +181,30 @@ def test_refresh_under_load_readers_never_see_a_torn_generation():
     pool = [threading.Thread(target=refresher)] + [
         threading.Thread(target=reader, args=(worker,)) for worker in range(4)
     ]
-    for t in pool:
-        t.start()
-    for t in pool:
-        t.join(timeout=30)
-    assert not any(t.is_alive() for t in pool)
-    assert not failures, failures
-    stats = service.cache.stats()
-    assert stats["hits"] + stats["misses"] == expected_probes[0]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # interleave readers inside each refresh
+    try:
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in pool)
+        assert not failures, failures
+        stats = service.cache.stats()
+        assert stats["hits"] + stats["misses"] == expected_probes[0]
+        query_row = server.metrics.snapshot()["endpoints"]["/v1/query"]
+        assert query_row["status"] == {"200": queries_sent[0]}
+    finally:
+        sys.setswitchinterval(switch)
+        server.shutdown()
+        server.server_close()
     # once quiet: every generation's pair resolves and nothing was lost
     for g in range(len(letters)):
         for name in pair(g):
             assert service.enrich(Indicator(name=name)).verdict == "malicious"
-    assert service.index.package_count == 8 + 2 * len(letters)
+    related = service.enrich(Indicator(name="pkg-0")).related
+    assert [n for n in related if "decoy" in n] == ["pypi:decoy-5@1.0"]
+    assert service.index.package_count == 8 + 2 * len(letters) + 1
     assert service.generation == len(letters)
 
 
@@ -191,7 +234,7 @@ def test_concurrent_lru_is_exact():
 @pytest.fixture()
 def fresh_server():
     """A per-test server so metrics start from zero."""
-    service = _mini_service()
+    service, _ = _mini_service()
     server = create_server(service, port=0)
     host, port = server_address(server)
     thread = threading.Thread(target=server.serve_forever, daemon=True)

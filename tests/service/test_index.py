@@ -42,15 +42,17 @@ def test_group_index_mirrors_group_extraction(
     groups = service_malgraph.groups(kind)
     for i, group in enumerate(groups):
         group_id = f"{kind.value}-{i:04d}"
-        assert intel_index.group_kind(group_id) is kind
-        held = {e.package for e in intel_index.lookup_group(group_id)}
-        assert held == {m.package for m in group.members}
+        held = set(intel_index.indexes.group_members[group_id])
+        assert held == {node_id(m.package) for m in group.members}
+        for member in group.members:
+            assert group_id in intel_index.groups_of(member.package)
 
 
-def test_families_and_campaigns_split_by_kind(intel_index):
-    for pid, groups in intel_index._groups_of.items():
-        families = set(intel_index.families_of(pid))
-        campaigns = set(intel_index.campaigns_of(pid))
+def test_families_and_campaigns_split_by_kind(intel_index, small_dataset):
+    for entry in small_dataset.entries:
+        groups = intel_index.groups_of(entry.package)
+        families = set(intel_index.families_of(entry.package))
+        campaigns = set(intel_index.campaigns_of(entry.package))
         assert families | campaigns == set(groups)
         assert not families & campaigns
 
@@ -110,5 +112,5 @@ def test_stats_counters(intel_index, small_dataset):
 
 
 def test_build_from_malgraph_carries_graph(intel_index, service_malgraph):
-    assert intel_index.graph is service_malgraph.graph
+    assert intel_index.indexes is service_malgraph.query_indexes()
     assert intel_index.package_count == len(service_malgraph.dataset)

@@ -1,35 +1,52 @@
-"""Incremental refresh: a merge diff updates the live index in place."""
+"""Incremental refresh: every batch runs through the delta engine and
+lands in the live index as MALGRAPH's exact groups and neighbours."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.collection.merge import diff_datasets
 from repro.collection.records import MalwareDataset
+from repro.core.edges import node_id
+from repro.core.graph import EdgeType
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
-from repro.service.cache import EnrichmentService, build_service
+from repro.core.query import build_indexes
+from repro.service.cache import build_service
 from repro.service.enrich import (
     VERDICT_MALICIOUS,
     EnrichmentEngine,
     Indicator,
 )
 from repro.core.delta.events import GraphEvent
-from repro.service.index import IntelIndex
+from repro.service.index import CAMPAIGN_KINDS, FAMILY_KINDS, IntelIndex
 from repro.service.refresh import refresh_from_events, refresh_index
 
 from tests.core.helpers import dataset, entry, report
 
 
-def _engine(ds) -> EnrichmentEngine:
-    return EnrichmentEngine(IntelIndex.build(MalGraph.build(ds)))
+def _engine(ds):
+    """(engine, graph) over ``ds``; refreshes evolve the graph."""
+    malgraph = MalGraph.build(ds)
+    return EnrichmentEngine(IntelIndex.build(malgraph)), malgraph
+
+
+def _member_names(index: IntelIndex, group_id: str):
+    return {
+        index.indexes.node_attrs(node)["name"]
+        for node in index.indexes.group_members[group_id]
+    }
 
 
 def test_added_packages_resolve_after_refresh():
-    engine = _engine(dataset([entry("old-pkg")]))
+    engine, malgraph = _engine(dataset([entry("old-pkg")]))
+    old = engine.index.dataset
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
-    merged, diff, stats = refresh_index(engine.index, dataset([fresh]))
-    assert diff.added == [fresh.package]
-    assert stats.packages_added == 1
+    merged, delta = refresh_index(engine.index, dataset([fresh]), malgraph=malgraph)
+    assert diff_datasets(old, merged).added == [fresh.package]
+    assert delta.packages_added == 1
     assert engine.index.dataset is merged
     result = engine.lookup(name="new-pkg", version="1.0")
     assert result.verdict == VERDICT_MALICIOUS
@@ -39,92 +56,102 @@ def test_added_packages_resolve_after_refresh():
 
 def test_refresh_links_signature_duplicates_into_family():
     shared = "def payload():\n    return 'dup'\n"
-    engine = _engine(dataset([entry("seed-pkg", code=shared)]))
+    engine, malgraph = _engine(dataset([entry("seed-pkg", code=shared)]))
     twin = entry("late-twin", code=shared)
-    _, _, stats = refresh_index(engine.index, dataset([twin]))
-    assert stats.families_linked == 1
+    refresh_index(engine.index, dataset([twin]), malgraph=malgraph)
     families = engine.index.families_of(twin.package)
     assert families
-    assert engine.index.group_kind(families[0]) is GroupKind.DG
-    members = {e.package.name for e in engine.index.lookup_group(families[0])}
-    assert members == {"seed-pkg", "late-twin"}
+    assert families[0].startswith(f"{GroupKind.DG.value}-")
+    assert _member_names(engine.index, families[0]) == {"seed-pkg", "late-twin"}
     # and the family is reachable from the enrichment result
     assert engine.lookup(name="late-twin").families == families
 
 
 def test_refresh_extends_existing_duplicated_group():
     shared = "def payload():\n    return 'trip'\n"
-    engine = _engine(dataset([entry("twin-a", code=shared), entry("twin-b", code=shared)]))
+    engine, malgraph = _engine(
+        dataset([entry("twin-a", code=shared), entry("twin-b", code=shared)])
+    )
     existing = engine.index.families_of(
         engine.index.lookup_name("twin-a")[0].package
     )
     assert existing, "seed world should already hold a DG family"
     third = entry("twin-c", code=shared)
-    refresh_index(engine.index, dataset([third]))
+    refresh_index(engine.index, dataset([third]), malgraph=malgraph)
     assert set(engine.index.families_of(third.package)) & set(existing)
 
 
 def test_refresh_registers_new_reports_as_campaigns():
     a, b = entry("pkg-a"), entry("pkg-b", code="def b():\n    return 2\n")
-    engine = _engine(dataset([a, b]))
+    engine, malgraph = _engine(dataset([a, b]))
+    old = engine.index.dataset
     covering = report("r-new", [a.package, b.package])
     covering.actor_alias = "ShadyActor"
-    _, diff, stats = refresh_index(engine.index, dataset([], [covering]))
-    assert diff.new_reports == ["r-new"]
-    assert stats.campaigns_added == 1
+    merged, delta = refresh_index(
+        engine.index, dataset([], [covering]), malgraph=malgraph
+    )
+    assert diff_datasets(old, merged).new_reports == ["r-new"]
+    assert delta.reports_added == 1
     result = engine.lookup(name="pkg-a")
     assert result.actors == ["ShadyActor"]
-    assert any(g.startswith("CG-r") for g in result.campaigns)
+    # the report is a co-existing group of MALGRAPH's own extraction
+    assert result.campaigns == ["CG-0000"]
+    assert _member_names(engine.index, "CG-0000") == {"pkg-a", "pkg-b"}
 
 
 def test_refresh_invalidates_wrapped_service():
     ds = dataset([entry("old-pkg")])
-    service = build_service(MalGraph.build(ds))
+    malgraph = MalGraph.build(ds)
+    service = build_service(malgraph)
     fresh = entry("fresh-pkg", code="def f():\n    return 3\n")
     # a stale negative sits in the cache before the refresh
     assert service.enrich(Indicator(name="fresh-pkg")).verdict != VERDICT_MALICIOUS
-    _, _, stats = refresh_index(service.index, dataset([fresh]), service=service)
-    assert stats.cache_cleared
+    refresh_index(service.index, dataset([fresh]), service=service, malgraph=malgraph)
+    assert len(service.cache) == 0
     assert service.enrich(Indicator(name="fresh-pkg")).verdict == VERDICT_MALICIOUS
 
 
 def test_refresh_merges_claims_for_known_packages():
     held = entry("known-pkg", sources=("snyk",))
-    engine = _engine(dataset([held]))
+    engine, malgraph = _engine(dataset([held]))
+    old = engine.index.dataset
     again = entry("known-pkg", sources=("phylum",))
-    merged, diff, stats = refresh_index(engine.index, dataset([again]))
-    assert stats.packages_added == 0
-    assert diff.new_sources == {held.package: {"phylum"}}
+    merged, delta = refresh_index(engine.index, dataset([again]), malgraph=malgraph)
+    assert delta.packages_added == 0
+    assert delta.packages_updated == 1
+    assert diff_datasets(old, merged).new_sources == {held.package: {"phylum"}}
     keys = {row["key"] for row in engine.lookup(name="known-pkg").sources}
     assert keys == {"snyk", "phylum"}
 
 
 def test_refresh_bumps_epoch_and_timestamp():
-    engine = _engine(dataset([entry("old-pkg")]))
+    engine, malgraph = _engine(dataset([entry("old-pkg")]))
     assert engine.index.epoch == 0
     assert engine.index.last_delta_at is None
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
-    refresh_index(engine.index, dataset([fresh]))
+    refresh_index(engine.index, dataset([fresh]), malgraph=malgraph)
     assert engine.index.epoch == 1
     assert engine.index.last_delta_at is not None
     stats = engine.index.stats()
     assert stats["epoch"] == 1
     assert stats["last_delta_at"] == engine.index.last_delta_at
-    refresh_index(engine.index, dataset([entry("third-pkg", code="x = 3\n")]))
+    refresh_index(
+        engine.index, dataset([entry("third-pkg", code="x = 3\n")]), malgraph=malgraph
+    )
     assert engine.index.epoch == 2
 
 
-def test_refresh_from_events_without_graph():
+def test_refresh_from_events_on_a_bare_index():
     held = entry("old-pkg")
-    engine = _engine(dataset([held]))
+    engine, malgraph = _engine(dataset([held]))
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
     events = [
         GraphEvent.package_added(fresh),
         GraphEvent.package_removed(held.package),
     ]
-    served, stats = refresh_from_events(engine.index, events)
-    assert stats.packages_added == 1
-    assert stats.packages_removed == 1
+    served, delta = refresh_from_events(engine.index, events, malgraph=malgraph)
+    assert delta.packages_added == 1
+    assert delta.packages_removed == 1
     assert engine.index.dataset is served
     assert served.get(fresh.package) is not None and served.get(held.package) is None
     assert engine.lookup(name="new-pkg").verdict == VERDICT_MALICIOUS
@@ -140,17 +167,18 @@ def test_refresh_from_events_with_malgraph_mirrors_exact_groups():
     service = build_service(malgraph)
     twin = entry("late-twin", code=shared)
     events = [GraphEvent.package_added(twin)]
-    served, stats = refresh_from_events(
+    served, delta = refresh_from_events(
         service.index, events, service=service, malgraph=malgraph
     )
-    assert stats.cache_cleared
-    assert stats.groups_replaced > 0
+    assert len(service.cache) == 0
+    assert service.index.stats()["groups"] == sum(
+        len(malgraph.groups(kind)) for kind in GroupKind
+    ) > 0
     assert served is malgraph.dataset  # index serves the evolved graph's dataset
     # group ids come from the exact extraction, not refresh-scoped ids
     families = service.index.families_of(twin.package)
     assert families and not any("-r" in g for g in families)
-    members = {e.package.name for e in service.index.lookup_group(families[0])}
-    assert members == {"seed-pkg", "late-twin"}
+    assert _member_names(service.index, families[0]) == {"seed-pkg", "late-twin"}
     assert service.index.epoch == 1
     assert service.enrich(Indicator(name="late-twin")).verdict == VERDICT_MALICIOUS
 
@@ -159,10 +187,11 @@ def test_refresh_from_events_with_malgraph_mirrors_exact_groups():
 
 
 def test_refresh_publishes_a_new_snapshot_and_leaves_the_old_intact():
-    service = build_service(MalGraph.build(dataset([entry("old-pkg")])))
+    malgraph = MalGraph.build(dataset([entry("old-pkg")]))
+    service = build_service(malgraph)
     before = service.snapshot
     fresh = entry("fresh-pkg", code="def f():\n    return 3\n")
-    refresh_index(service.index, dataset([fresh]), service=service)
+    refresh_index(service.index, dataset([fresh]), service=service, malgraph=malgraph)
     after = service.snapshot
     assert after is not before
     assert after.generation == before.generation + 1
@@ -175,19 +204,56 @@ def test_refresh_publishes_a_new_snapshot_and_leaves_the_old_intact():
 
 
 def test_concurrent_refreshes_compose_not_clobber():
-    service = build_service(MalGraph.build(dataset([entry("old-pkg")])))
+    malgraph = MalGraph.build(dataset([entry("old-pkg")]))
+    service = build_service(malgraph)
     stale_view = service.index  # both callers hold the same stale index
     left = entry("pkg-left", code="x = 1\n")
     right = entry("pkg-right", code="x = 2\n")
     # the service rebases each delta onto the currently published
     # snapshot under the writer lock, so the second refresh must not
     # wipe out the first even though its caller's view predates it
-    refresh_index(stale_view, dataset([left]), service=service)
-    refresh_index(stale_view, dataset([right]), service=service)
+    refresh_index(stale_view, dataset([left]), service=service, malgraph=malgraph)
+    refresh_index(stale_view, dataset([right]), service=service, malgraph=malgraph)
     assert service.index.package_count == 3
     assert service.enrich(Indicator(name="pkg-left")).verdict == VERDICT_MALICIOUS
     assert service.enrich(Indicator(name="pkg-right")).verdict == VERDICT_MALICIOUS
     assert service.generation == 2
+
+
+def test_held_generation_answers_from_its_own_snapshot():
+    """A generation keeps answering ``enrich`` (``related`` included) and
+    ``/v1/query`` as of its publish, while the next batch removes a
+    neighbour of the package it serves and re-clusters the graph."""
+    shared = "def payload():\n    return 'trio'\n"
+    entries = [entry(f"dup-{c}", code=shared) for c in "abc"] + [
+        entry(f"other-{i}", code=f"def other():\n    return {i}\n") for i in range(4)
+    ]
+    malgraph = MalGraph.build(dataset(entries))
+    service = build_service(malgraph)
+    held = service.snapshot
+    indicator = Indicator(name="dup-a")
+    pattern = "MATCH (a {name: 'dup-a'})-[]-(b) RETURN b.name ORDER BY b.name"
+    before = held.engine.enrich(indicator).to_dict()
+    rows = held.query_engine.run(pattern).rows
+    assert before["verdict"] == VERDICT_MALICIOUS
+    assert "pypi:dup-b@1.0" in before["related"]
+    assert ("dup-b",) in rows
+
+    fresh = entry("other-new", code="def fresh():\n    return 'new'\n")
+    refresh_from_events(
+        service.index,
+        [
+            GraphEvent.package_removed(entry("dup-b").package),
+            GraphEvent.package_added(fresh),
+        ],
+        service=service,
+        malgraph=malgraph,
+    )
+    assert held.engine.enrich(indicator).to_dict() == before
+    assert held.query_engine.run(pattern).rows == rows
+    # ... while the new generation sees the batch
+    assert "pypi:dup-b@1.0" not in service.enrich(indicator).related
+    assert ("dup-b",) not in service.query_engine.run(pattern).rows
 
 
 # -- against the simulated world ------------------------------------------
@@ -204,13 +270,17 @@ def split_world_service(small_dataset):
         entries=list(small_dataset.entries[half:]),
         reports=list(small_dataset.reports[len(small_dataset.reports) // 2 :]),
     )
-    return build_service(MalGraph.build(old)), held_back
+    malgraph = MalGraph.build(old)
+    return build_service(malgraph), malgraph, held_back
 
 
 def test_world_refresh_resolves_every_newly_merged_package(split_world_service):
-    service, held_back = split_world_service
-    merged, diff, stats = refresh_index(service.index, held_back, service=service)
-    assert stats.packages_added == len(diff.added) > 0
+    service, malgraph, held_back = split_world_service
+    old = service.index.dataset
+    merged, delta = refresh_index(
+        service.index, held_back, service=service, malgraph=malgraph
+    )
+    assert delta.packages_added == len(diff_datasets(old, merged).added) > 0
     for e in held_back.entries:
         result = service.enrich(
             Indicator(
@@ -221,3 +291,62 @@ def test_world_refresh_resolves_every_newly_merged_package(split_world_service):
         )
         assert result.verdict == VERDICT_MALICIOUS, str(e.package)
     assert service.index.package_count == len(merged)
+
+
+def _oracle_groups(malgraph: MalGraph, kinds):
+    """package id -> group ids of ``kinds``, from MALGRAPH's extraction."""
+    held = {}
+    for kind in GroupKind:
+        if kind not in kinds:
+            continue
+        for i, group in enumerate(malgraph.groups(kind)):
+            for member in group.members:
+                held.setdefault(member.package, []).append(f"{kind.value}-{i:04d}")
+    return held
+
+
+def test_refreshed_index_matches_the_graph_oracle(small_dataset):
+    """After a sequence of add / detect / remove / report batches, every
+    entry's families, campaigns and related neighbours equal what
+    MALGRAPH's own group extraction and graph walk give."""
+    entries = list(small_dataset.entries)
+    reports = list(small_dataset.reports)
+    base = MalwareDataset(
+        entries=entries[: len(entries) * 2 // 3],
+        reports=reports[: len(reports) // 2],
+    )
+    malgraph = MalGraph.build(base)
+    service = build_service(malgraph)
+    later = entries[len(entries) * 2 // 3 :]
+    late_reports = reports[len(reports) // 2 :]
+    for step in range(3):
+        current = malgraph.dataset.entries
+        events = [GraphEvent.package_added(e) for e in later[step::3]]
+        events += [GraphEvent.package_removed(e.package) for e in current[step:40:9]]
+        events += [
+            GraphEvent.package_detected(dataclasses.replace(e, downloads=e.downloads + 1))
+            for e in current[step + 50 : 90 : 11]
+        ]
+        events += [GraphEvent.report_ingested(r) for r in late_reports[step::3]]
+        refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+
+    index = service.index
+    assert index.dataset is malgraph.dataset
+    # the snapshot patched batch by batch equals a cold index build
+    cold = build_indexes(malgraph.graph, malgraph)
+    for field in ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
+                  "group_members", "groups_of"):
+        assert getattr(index.indexes, field) == getattr(cold, field), field
+    families = _oracle_groups(malgraph, FAMILY_KINDS)
+    campaigns = _oracle_groups(malgraph, CAMPAIGN_KINDS)
+    graph = malgraph.graph
+    for e in malgraph.dataset.entries:
+        pid, nid = e.package, node_id(e.package)
+        assert index.families_of(pid) == families.get(pid, []), pid
+        assert index.campaigns_of(pid) == campaigns.get(pid, []), pid
+        walked = set()
+        for edge_type in EdgeType:
+            walked.update(graph.neighbors(nid, edge_type))
+        walked.discard(nid)
+        assert index.related(pid, limit=10_000) == sorted(walked), pid
+        assert index.related(pid) == sorted(walked)[:25], pid

@@ -374,6 +374,15 @@ def test_warm_with_no_disk_cache_writes_nothing(tmp_path, capsys):
     assert not cache.exists()
 
 
+def test_report_warm_prints_one_table_and_one_world_build(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    argv = SMALL + ["--cache-dir", str(cache), "--no-disk-cache", "--report", "warm"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert (captured.out + captured.err).count("pipeline report") == 1
+    assert "world: 0 hit / 1 miss" in captured.err
+
+
 def test_cache_info_and_clear(tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(SMALL + ["--cache-dir", str(cache), "warm"]) == 0
