@@ -23,6 +23,14 @@ across every package), batches deduplicate by SHA256 before any work,
 and :meth:`AstEmbedder.embed_many` can fan the unique artifacts out over
 a process pool — the resulting matrix is byte-identical to the serial
 path because each vector is a pure function of the artifact bytes.
+
+Malicious packages reuse code (the paper's finding 2), so distinct
+artifacts still share most of their files. Within one
+:meth:`AstEmbedder.embed_many` call — and within each worker's chunk —
+each distinct source text is parsed and embedded once; the package
+vector sums the per-file vectors in file order exactly as
+:meth:`AstEmbedder.embed_package` does, so the matrix is unchanged. The
+source memo is local to the call and freed when it returns.
 """
 
 from __future__ import annotations
@@ -183,8 +191,12 @@ def _token_fallback_features(source: str) -> Iterable[str]:
 def _embed_chunk(
     embedder: "AstEmbedder", chunk: List[Tuple[str, PackageArtifact]]
 ) -> List[Tuple[str, np.ndarray]]:
-    """Worker body: embed one chunk of (sha256, artifact) pairs."""
-    return [(sha, embedder.embed_package(artifact)) for sha, artifact in chunk]
+    """Embed one chunk of (sha256, artifact) pairs, each distinct source
+    file once: the body of the serial path and of every worker."""
+    sources: Dict[str, np.ndarray] = {}
+    return [
+        (sha, embedder._embed_files(artifact, sources)) for sha, artifact in chunk
+    ]
 
 
 @dataclass
@@ -245,6 +257,14 @@ class AstEmbedder:
 
     def embed_package(self, artifact: PackageArtifact) -> np.ndarray:
         """Embed a package: normalised sum of its code-file embeddings."""
+        return self._embed_files(artifact, {})
+
+    def _embed_files(
+        self, artifact: PackageArtifact, sources: Dict[str, np.ndarray]
+    ) -> np.ndarray:
+        """:meth:`embed_package`, reusing and filling ``sources`` (source
+        text → file vector) so a file shared by many packages is
+        embedded once."""
         code_files = artifact.code_files()
         if not code_files:
             raise EmbeddingError(
@@ -252,7 +272,10 @@ class AstEmbedder:
             )
         total = np.zeros(self.dim, dtype=np.float64)
         for _path, source in code_files.items():
-            total += self.embed_source(source)
+            vector = sources.get(source)
+            if vector is None:
+                vector = sources[source] = self.embed_source(source)
+            total += vector
         return self._normalize(total)
 
     def embed_many(
@@ -266,9 +289,11 @@ class AstEmbedder:
         Artifacts are deduplicated by SHA256 before any embedding work,
         vectors already present in ``cache`` (sha256 → vector) are
         reused, and the remaining unique artifacts are embedded with up
-        to ``jobs`` worker processes (``0`` = one per core). ``cache``
-        is updated in place with every newly computed vector. The matrix
-        is byte-identical for any ``jobs``/``cache`` combination.
+        to ``jobs`` worker processes (``0`` = one per core), parsing
+        each distinct source file once per call (once per chunk when
+        workers run). ``cache`` is updated in place with every newly
+        computed vector. The matrix is byte-identical for any
+        ``jobs``/``cache`` combination.
         """
         if not artifacts:
             return np.zeros((0, self.dim), dtype=np.float64)
@@ -292,7 +317,7 @@ class AstEmbedder:
         the batch is big enough to pay for the pool."""
         workers = min(resolve_jobs(jobs), len(pending))
         if workers <= 1 or len(pending) < PARALLEL_MIN_BATCH:
-            return {sha: self.embed_package(a) for sha, a in pending}
+            return dict(_embed_chunk(self, pending))
         # Deterministic contiguous chunks, one per worker; merge order is
         # irrelevant because each vector is keyed by its sha256.
         chunk_size = -(-len(pending) // workers)
@@ -308,7 +333,7 @@ class AstEmbedder:
         except (OSError, PermissionError):
             # Process pools can be unavailable (restricted sandboxes,
             # exhausted fds); the serial path computes the same matrix.
-            return {sha: self.embed_package(a) for sha, a in pending}
+            return dict(_embed_chunk(self, pending))
         return computed
 
     @staticmethod

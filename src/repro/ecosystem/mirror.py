@@ -5,13 +5,21 @@ registries (5 NPM + 12 PyPI + 6 RubyGems mirrors) because mirrors are not
 synced with the root registry in real time. Two mirror behaviours exist in
 the wild and both are modelled here:
 
-* **lagging** mirrors take a full snapshot of the root's *live* set every
-  ``sync_interval`` days. A removed package survives on such a mirror only
-  until the next sync after its removal.
+* **lagging** mirrors take the root's *live* set every ``sync_interval``
+  days. A removed package survives on such a mirror only until the next
+  sync after its removal.
 * **archival** (append-only caching) mirrors add whatever is live at each
   sync but never process deletions — a package captured once is
   recoverable forever. Archival mirrors only exist from ``start_day``
   onwards (mirror services came online over the years).
+
+A mirror copies nothing. Like a PyPI mirror following the changelog, it
+records the registry serial it synced up to (see
+:mod:`repro.ecosystem.registry`): a lagging mirror keeps its last sync
+serial, an archival mirror keeps every one. A lookup answers from the
+registry's own record, whose publish and removal serials say whether it
+was live at a kept serial — for an archival mirror, at the first sync
+after its publication, found by bisection. Each sync is O(1).
 
 Together these reproduce the two unavailability causes of Fig. 5:
 
@@ -23,12 +31,13 @@ Together these reproduce the two unavailability causes of Fig. 5:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.ecosystem.package import PackageArtifact
-from repro.ecosystem.registry import Registry
+from repro.ecosystem.registry import PublishedPackage, Registry
 
 
 @dataclass
@@ -41,8 +50,9 @@ class MirrorRegistry:
     start_day: int = 0
     phase: int = 0
     archival: bool = False
-    _store: Dict[Tuple[str, str], PackageArtifact] = field(default_factory=dict)
     last_sync_day: Optional[int] = None
+    #: registry serials synced to: the last one (lagging) or all (archival)
+    _sync_serials: List[int] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.sync_interval <= 0:
@@ -62,12 +72,12 @@ class MirrorRegistry:
         return (day - self.phase) % self.sync_interval == 0
 
     def sync(self, day: int) -> None:
-        """Pull the upstream live set into the mirror store."""
-        snapshot = self.upstream.live_snapshot()
+        """Catch up with every upstream event applied so far."""
+        serial = self.upstream.serial
         if self.archival:
-            self._store.update(snapshot)
+            self._sync_serials.append(serial)
         else:
-            self._store = dict(snapshot)
+            self._sync_serials = [serial]
         self.last_sync_day = day
 
     def maybe_sync(self, day: int) -> bool:
@@ -77,22 +87,40 @@ class MirrorRegistry:
             return True
         return False
 
+    def _holds(self, record: PublishedPackage) -> bool:
+        """True if some kept sync saw ``record`` live. Checking the first
+        sync after its publication suffices: a removal before that sync
+        precedes every later one too."""
+        serials = self._sync_serials
+        first = bisect_right(serials, record.publish_serial)
+        return first < len(serials) and record.live_at(serials[first])
+
     def lookup(self, name: str, version: str) -> Optional[PackageArtifact]:
         """Return the mirrored artifact, or None if this mirror lacks it."""
-        return self._store.get((name, version))
+        record = self.upstream.find(name, version)
+        if record is None or not self._holds(record):
+            return None
+        return record.artifact
 
     def __len__(self) -> int:
-        return len(self._store)
+        return sum(
+            1 for record in self.upstream.all_packages() if self._holds(record)
+        )
 
 
 class MirrorNetwork:
     """All mirrors of the simulated world, searched in declaration order."""
 
     def __init__(self, mirrors: Iterable[MirrorRegistry] = ()):
-        self._mirrors: List[MirrorRegistry] = list(mirrors)
+        self._mirrors: List[MirrorRegistry] = []
+        self._fleets: Dict[str, Tuple[MirrorRegistry, ...]] = {}
+        for mirror in mirrors:
+            self.add(mirror)
 
     def add(self, mirror: MirrorRegistry) -> None:
         self._mirrors.append(mirror)
+        fleet = self._fleets.get(mirror.ecosystem, ())
+        self._fleets[mirror.ecosystem] = fleet + (mirror,)
 
     def __iter__(self):
         return iter(self._mirrors)
@@ -100,8 +128,9 @@ class MirrorNetwork:
     def __len__(self) -> int:
         return len(self._mirrors)
 
-    def for_ecosystem(self, ecosystem: str) -> List[MirrorRegistry]:
-        return [m for m in self._mirrors if m.ecosystem == ecosystem]
+    def for_ecosystem(self, ecosystem: str) -> Tuple[MirrorRegistry, ...]:
+        """The ecosystem's mirrors in declaration order."""
+        return self._fleets.get(ecosystem, ())
 
     def tick(self, day: int) -> int:
         """Run all due syncs for ``day``; returns number of syncs."""

@@ -6,13 +6,19 @@ describes in Fig. 6: packages are *published*, accumulate *downloads*, are
 *detected* and finally *removed* by the administrator. Removal is
 permanent — the same (name, version) cannot be re-published, which is the
 mechanism that forces attackers into the {changing -> release} loop.
+
+Every mutation appends one :class:`RegistryEvent` to ``Registry.events``;
+the event's index in that log is its *serial*, like the changelog serial
+that PyPI mirrors follow. Each record keeps the serials of its publish
+and removal, so whether it was live at any past serial is an interval
+check — which is how mirrors answer lookups without copying the registry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import (
     DuplicatePackageError,
@@ -50,10 +56,21 @@ class PublishedPackage:
     detection_day: Optional[int] = None
     downloads: int = 0
     malicious: bool = False  # ground-truth flag, set by the world builder
+    #: registry serials (event-log indices) of the publish and the
+    #: removal; the registry assigns them
+    publish_serial: int = field(default=0, init=False)
+    removal_serial: Optional[int] = field(default=None, init=False)
 
     @property
     def live(self) -> bool:
         return self.removal_day is None
+
+    def live_at(self, serial: int) -> bool:
+        """True if the package was live once every event below ``serial``
+        had been applied: published before it, not removed before it."""
+        return self.publish_serial < serial and (
+            self.removal_serial is None or serial <= self.removal_serial
+        )
 
     @property
     def persist_days(self) -> Optional[int]:
@@ -69,7 +86,7 @@ class Registry:
     def __init__(self, ecosystem: str):
         self.ecosystem = ecosystem
         self._packages: Dict[Tuple[str, str], PublishedPackage] = {}
-        self._retired_names: Dict[str, int] = {}
+        self._names: Set[str] = set()
         self.events: List[RegistryEvent] = []
 
     # -- queries ------------------------------------------------------------
@@ -78,6 +95,16 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._packages)
+
+    @property
+    def serial(self) -> int:
+        """Serial the next event will get; every event below it is applied."""
+        return len(self.events)
+
+    def find(self, name: str, version: str) -> Optional[PublishedPackage]:
+        """The record for (name, version), live or removed; None if it was
+        never published."""
+        return self._packages.get((name, version))
 
     def get(self, name: str, version: str) -> PublishedPackage:
         """Return the record for (name, version), live or removed."""
@@ -101,9 +128,7 @@ class Registry:
 
     def name_taken(self, name: str) -> bool:
         """True if any version of ``name`` was ever published."""
-        if name in self._retired_names:
-            return True
-        return any(n == name for (n, _v) in self._packages)
+        return name in self._names
 
     def live_packages(self) -> Iterable[PublishedPackage]:
         return (r for r in self._packages.values() if r.live)
@@ -112,7 +137,8 @@ class Registry:
         return self._packages.values()
 
     def live_snapshot(self) -> Dict[Tuple[str, str], PackageArtifact]:
-        """Mapping of live (name, version) -> artifact; used by mirror sync."""
+        """Mapping of live (name, version) -> artifact: a copy of the live
+        set as of now."""
         return {
             key: record.artifact
             for key, record in self._packages.items()
@@ -138,7 +164,9 @@ class Registry:
         record = PublishedPackage(
             artifact=artifact, release_day=day, malicious=malicious
         )
+        record.publish_serial = self.serial
         self._packages[key] = record
+        self._names.add(artifact.name)
         self.events.append(RegistryEvent(EventKind.PUBLISH, artifact.id, day))
         return record
 
@@ -157,7 +185,7 @@ class Registry:
         if record.removal_day is not None:
             return
         record.removal_day = day
-        self._retired_names[name] = day
+        record.removal_serial = self.serial
         self.events.append(RegistryEvent(EventKind.REMOVE, record.artifact.id, day))
 
     def record_downloads(self, name: str, version: str, count: int) -> None:

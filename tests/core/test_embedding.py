@@ -283,3 +283,46 @@ def test_resolve_jobs():
     auto = resolve_jobs(0)
     assert auto >= 1
     assert resolve_jobs(-1) == auto
+
+
+def _artifacts_sharing_files(count: int):
+    """Distinct packages built from shared files: one file every package
+    carries, one of four family files, and one file of their own."""
+    shared = "import os\n\ndef beacon(host):\n    return os.getenv(host)\n"
+    families = [
+        f"def family_{f}(data):\n    return [item * {f} for item in data]\n"
+        for f in range(4)
+    ]
+    return [
+        make_artifact(
+            "pypi",
+            f"pkg{idx}",
+            "1.0.0",
+            {
+                f"pkg{idx}/__init__.py": shared,
+                f"pkg{idx}/family.py": families[idx % 4],
+                f"pkg{idx}/own.py": f"TOKEN_{idx} = '{idx}'\n",
+            },
+        )
+        for idx in range(count)
+    ]
+
+
+def test_embed_many_parses_each_distinct_source_once(embedder, monkeypatch):
+    artifacts = _artifacts_sharing_files(PARALLEL_MIN_BATCH + 8)
+    expected = np.vstack([embedder.embed_package(a) for a in artifacts])
+    embedded = []
+    embed_source = AstEmbedder.embed_source
+
+    def counting(self, source):
+        embedded.append(source)
+        return embed_source(self, source)
+
+    monkeypatch.setattr(AstEmbedder, "embed_source", counting)
+    matrix = embedder.embed_many(artifacts, jobs=1)
+    # 1 shared + 4 family + one own file per package, each parsed once
+    assert len(embedded) == len(set(embedded)) == 1 + 4 + len(artifacts)
+    monkeypatch.undo()
+    assert matrix.tobytes() == expected.tobytes()
+    # worker chunks memoise too; the pool engages past PARALLEL_MIN_BATCH
+    assert embedder.embed_many(artifacts, jobs=2).tobytes() == expected.tobytes()

@@ -4,7 +4,8 @@ The two mirror behaviours drive Fig. 5's unavailability causes, so
 their invariants matter: archival mirrors never lose a captured
 package; lagging mirrors equal the upstream live set right after a
 sync; and anything any mirror serves was genuinely live at some sync
-point.
+point. A mirror answers from registry serials instead of copying the
+live set, so the copy-on-sync mirror is kept here as the oracle.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ actions = st.lists(
     min_size=1,
     max_size=25,
 )
+
+
+def _held(mirror: MirrorRegistry):
+    """Names of the upstream registry's packages the mirror serves."""
+    return {
+        record.artifact.name
+        for record in mirror.upstream.all_packages()
+        if mirror.lookup(record.artifact.name, record.artifact.version)
+        is not None
+    }
 
 
 def _replay(script, archival: bool):
@@ -63,7 +74,7 @@ def _replay(script, archival: bool):
 @settings(max_examples=80, deadline=None)
 def test_archival_mirror_accumulates(script):
     mirror, live_at_sync, captured = _replay(script, archival=True)
-    held = {name for name, _v in mirror._store}
+    held = _held(mirror)
     assert held == captured, "archival mirror = union of all sync snapshots"
 
 
@@ -71,7 +82,7 @@ def test_archival_mirror_accumulates(script):
 @settings(max_examples=80, deadline=None)
 def test_lagging_mirror_equals_last_snapshot(script):
     mirror, live_at_sync, _captured = _replay(script, archival=False)
-    held = {name for name, _v in mirror._store}
+    held = _held(mirror)
     expected = live_at_sync[-1] if live_at_sync else set()
     assert held == expected
 
@@ -93,6 +104,75 @@ def test_archival_dominates_lagging(script):
     """Whatever a lagging mirror still holds, the archival twin holds."""
     lagging, _s, _c = _replay(script, archival=False)
     archival, _s2, _c2 = _replay(script, archival=True)
-    lagging_keys = set(lagging._store)
-    archival_keys = set(archival._store)
-    assert lagging_keys <= archival_keys
+    assert _held(lagging) <= _held(archival)
+
+
+# -- the copy-on-sync oracle --------------------------------------------------
+
+class SnapshotMirror:
+    """Reference mirror: copies the registry's live set at every sync."""
+
+    def __init__(self, upstream: Registry, archival: bool):
+        self.upstream = upstream
+        self.archival = archival
+        self.store = {}
+
+    def sync(self) -> None:
+        snapshot = self.upstream.live_snapshot()
+        if self.archival:
+            self.store.update(snapshot)
+        else:
+            self.store = dict(snapshot)
+
+    def lookup(self, name, version):
+        return self.store.get((name, version))
+
+    def __len__(self) -> int:
+        return len(self.store)
+
+
+#: Three names with two versions each: several versions of a name can be
+#: live at once, and one can be removed while the other stays.
+KEYS = [(f"pkg-{i}", version) for i in range(3) for version in ("1.0", "2.0")]
+
+#: Days of several operations each; a sync may land anywhere in a day,
+#: before or after that day's publishes and removals.
+days = st.lists(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["publish", "detect", "remove", "sync"]),
+            st.integers(0, len(KEYS) - 1),
+        ),
+        max_size=6,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("archival", [False, True], ids=["lagging", "archival"])
+@given(script=days)
+@settings(max_examples=120, deadline=None)
+def test_mirror_matches_the_copy_on_sync_oracle(archival, script):
+    registry = Registry("pypi")
+    mirror = MirrorRegistry(
+        name="m", upstream=registry, sync_interval=1, archival=archival
+    )
+    oracle = SnapshotMirror(registry, archival)
+    for day, operations in enumerate(script):
+        for verb, idx in operations:
+            name, version = KEYS[idx]
+            published = (name, version) in registry
+            if verb == "publish" and not published:
+                source = {"m/a.py": f"V = {idx}\n"}
+                registry.publish(make_artifact("pypi", name, version, source), day)
+            elif verb == "detect" and published:
+                registry.mark_detected(name, version, day)
+            elif verb == "remove" and published:
+                registry.remove(name, version, day)
+            elif verb == "sync":
+                mirror.sync(day)
+                oracle.sync()
+            for key in KEYS:
+                assert mirror.lookup(*key) is oracle.lookup(*key), (key, verb)
+            assert len(mirror) == len(oracle)

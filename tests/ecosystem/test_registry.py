@@ -100,6 +100,19 @@ class TestDetectAndRemove:
         removes = [e for e in registry.events if e.kind is EventKind.REMOVE]
         assert len(removes) == 1
 
+    def test_serials_index_the_event_log(self, registry):
+        registry.publish(art(version="1.0.0"), day=1)
+        record = registry.publish(art(version="1.0.1"), day=1)
+        registry.mark_detected("left-pad", "1.0.1", day=2)
+        registry.remove("left-pad", "1.0.1", day=3)
+        assert (record.publish_serial, record.removal_serial) == (1, 3)
+        assert registry.events[record.publish_serial].kind is EventKind.PUBLISH
+        assert registry.events[record.removal_serial].kind is EventKind.REMOVE
+        assert registry.serial == len(registry.events) == 4
+        assert [record.live_at(s) for s in range(5)] == [
+            False, False, True, True, False,
+        ]
+
     def test_removed_name_stays_taken(self, registry):
         registry.publish(art(), day=1)
         registry.remove("left-pad", "1.0.0", day=5)
@@ -107,6 +120,18 @@ class TestDetectAndRemove:
             "a removed name cannot be re-registered — the mechanism that "
             "forces the paper's changing->release loop"
         )
+
+    def test_live_name_with_several_versions_is_taken(self, registry):
+        registry.publish(art(version="1.0.0"), day=1)
+        registry.publish(art(version="1.0.1"), day=2)
+        registry.remove("left-pad", "1.0.0", day=3)
+        assert registry.name_taken("left-pad")
+        assert len(list(registry.live_packages())) == 1
+
+    def test_unknown_name_is_not_taken(self, registry):
+        registry.publish(art(), day=1)
+        assert not registry.name_taken("right-pad")
+        assert not registry.name_taken("left-pa")
 
     def test_persist_days_none_while_live(self, registry):
         registry.publish(art(), day=1)

@@ -66,6 +66,33 @@ def test_mirrors_cover_major_ecosystems(small_world):
     assert len(small_world.mirrors.for_ecosystem("rubygems")) == 6
 
 
+def test_mirror_lookups_follow_the_day_level_sync_rule(small_world):
+    """The world syncs after each day's publishes and removals, so a
+    lagging mirror holds what was released by its last sync day and not
+    removed by then, and an archival mirror what was live on any of its
+    sync days: ``release_day <= s < removal_day`` (Fig. 5's two causes)."""
+    horizon = small_world.horizon
+    for mirror in small_world.mirrors:
+        sync_days = [day for day in range(horizon + 1) if mirror.due(day)]
+        if mirror.archival:
+            checked = sync_days
+        else:
+            assert mirror.last_sync_day == max(sync_days, default=None)
+            checked = sync_days[-1:]
+        for record in mirror.upstream.all_packages():
+            removal = record.removal_day
+            expected = any(
+                record.release_day <= day and (removal is None or day < removal)
+                for day in checked
+            )
+            artifact = record.artifact
+            hit = mirror.lookup(artifact.name, artifact.version)
+            assert hit is (artifact if expected else None), (
+                mirror.name,
+                artifact.id,
+            )
+
+
 def test_intel_entries_reference_published_packages(small_world):
     for entry in small_world.outcome.entries:
         record = small_world.registries.lookup(entry.package)
