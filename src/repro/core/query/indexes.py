@@ -36,7 +36,6 @@ read is impossible either way.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -75,7 +74,6 @@ class GraphIndexes:
     groups_of: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     version: int = 0
     enriched: bool = False
-    build_seconds: float = 0.0
 
     # -- lookups ----------------------------------------------------------
     def node_attrs(self, node: str) -> Dict[str, Any]:
@@ -158,7 +156,6 @@ def build_indexes(
 ) -> GraphIndexes:
     """Build a :class:`GraphIndexes` snapshot (no caching; see
     :func:`graph_indexes` for the cached entry point)."""
-    started = time.perf_counter()
     attrs: Dict[str, Dict[str, Any]] = {
         node: {"id": node, **graph.node(node)} for node in graph.nodes()
     }
@@ -209,7 +206,6 @@ def build_indexes(
         groups_of=groups_of,
         version=graph.version,
         enriched=malgraph is not None,
-        build_seconds=time.perf_counter() - started,
     )
 
 
@@ -279,7 +275,6 @@ def apply_index_patches(
     are immutable by convention), so a batch allocates in proportion to
     what it changed.
     """
-    started = time.perf_counter()
     removed_any: set = set()
     refreshed_any: set = set()
     touched: Dict[EdgeType, set] = {t: set() for t in EdgeType}
@@ -367,7 +362,6 @@ def apply_index_patches(
         groups_of=groups_of,
         version=graph.version,
         enriched=held.enriched,
-        build_seconds=time.perf_counter() - started,
     )
 
 

@@ -8,10 +8,10 @@ campaign / actor associations and related indicators.
 
 Layers, bottom to top:
 
-* :mod:`repro.service.index` — :class:`IntelIndex`, O(1) inverted
-  indexes over the dataset plus MALGRAPH's immutable query-index
-  snapshot for groups and neighbours, cloneable for copy-on-write
-  refresh;
+* :mod:`repro.service.index` — :class:`IntelIndex`, O(1) indicator
+  lookups over MALGRAPH's immutable query-index snapshot (keys, groups,
+  neighbours) plus a typo-squat name neighbourhood and report actor
+  aliases, each generation derived copy-on-write from the last;
 * :mod:`repro.service.enrich` — :class:`EnrichmentEngine`, indicator →
   structured :class:`EnrichmentResult` with typosquat-distance fallback;
 * :mod:`repro.service.cache` — immutable :class:`ServiceSnapshot`
@@ -36,9 +36,9 @@ Layers, bottom to top:
   ``/v1/metrics``, ``/v1/healthz``);
 * :mod:`repro.service.refresh` — incremental index refresh: event
   batches (or a :mod:`repro.collection.merge` of a re-collection) run
-  through the MALGRAPH delta engine, are applied to a clone and
-  published as the next snapshot generation — readers never wait and
-  never see a half-applied batch.
+  through the MALGRAPH delta engine, and the index generation derived
+  from the evolved graph is published as the next snapshot — readers
+  never wait and never see a half-applied batch.
 """
 
 from repro.service.cache import (

@@ -18,10 +18,10 @@ Concurrency model (the part a million-user front end cares about):
   engine read the same MALGRAPH query-index snapshot, never the live
   graph. No request ever takes ``service.lock``.
 * Writes (``refresh``/``invalidate``) serialise on ``service.lock``,
-  build the next state off to the side (a cloned index, see
-  :meth:`~repro.service.index.IntelIndex.clone`), and install it with
-  one reference assignment. A reader holds either the old snapshot or
-  the new one — never a mix.
+  build the next state off to the side (the next index generation, see
+  :meth:`~repro.service.index.IntelIndex.next_generation`), and install
+  it with one reference assignment. A reader holds either the old
+  snapshot or the new one — never a mix.
 * The LRU is sharded N ways by cache-key hash so distinct-key lookups
   contend on different locks; each :class:`LRUCache` shard keeps its own
   exact hit/miss/eviction books and ``stats()`` sums them, so

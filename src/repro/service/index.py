@@ -1,26 +1,30 @@
-"""Inverted indexes over MALGRAPH for O(1) indicator lookup.
+"""One snapshot index over MALGRAPH for O(1) indicator lookup.
 
 The offline graph answers "what is related to package X" by walking
-edges; a serving layer cannot afford a walk per request. The
-:class:`IntelIndex` is built in one pass over the dataset and the
-report actors, and afterwards resolves every indicator shape the
-enrichment API accepts — name, name+version, SHA256 signature,
-ecosystem, actor alias — with dictionary lookups.
+edges; a serving layer cannot afford a walk per request. An
+:class:`IntelIndex` generation resolves every indicator shape the
+enrichment API accepts — name, name+version, SHA256 signature — with
+dictionary lookups into MALGRAPH's enriched query-index snapshot
+(:meth:`~repro.core.malgraph.MalGraph.query_indexes`): its inverted
+name/SHA256/ecosystem keys, DG/DeG/SG/CG group maps and neighbour
+tuples are immutable, so one generation answers from one point in time
+while the next refresh evolves the graph.
 
-Families, campaigns and neighbours are not indexed here: the index holds
-MALGRAPH's enriched query-index snapshot
-(:meth:`~repro.core.malgraph.MalGraph.query_indexes`), whose DG/DeG/SG/CG
-group maps and neighbour tuples are immutable, so one generation answers
-from one point in time while the next refresh evolves the graph.
-
-The index stores :class:`~repro.ecosystem.package.PackageId` keys only
-and resolves entries through the live dataset reference, which is what
-lets :mod:`repro.service.refresh` swap in the evolved dataset and index
-the delta without rebuilding anything.
+Beside that snapshot the index keeps two tables of its own: the name
+neighbourhood (normalized name -> stored names, deletion variant ->
+normalized names), which answers case-insensitive exact names and
+typo-squat near misses, and each package's report actor aliases. Both
+are immutable once published: :meth:`IntelIndex.next_generation`
+derives the next generation copy-on-write from the batch's final state
+(the names its added or removed packages carry and the reports it
+appended): it rebuilds only the buckets the batch touched and replays
+no event.
 """
 
 from __future__ import annotations
 
+import copy
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.collection.records import CollectedReport, DatasetEntry, MalwareDataset
@@ -29,6 +33,7 @@ from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
 from repro.core.query.indexes import GraphIndexes
 from repro.detection.typosquat import _normalize, damerau_levenshtein
+from repro.ecosystem.package import PackageId
 from repro.intel.sources import SOURCE_INDEX, Sector, SourceProfile
 
 #: Group kinds read as malware families vs attack campaigns (Section IV:
@@ -77,22 +82,20 @@ def _deletion_variants(norm: str) -> Set[str]:
 
 
 class IntelIndex:
-    """One-pass inverted indexes over a built :class:`MalGraph`."""
+    """One generation's indicator index over a built :class:`MalGraph`."""
 
     def __init__(self, dataset: MalwareDataset):
         self.dataset = dataset
-        #: MALGRAPH's enriched query indexes as of this index's
-        #: generation: the group and neighbour table (see replace_groups)
+        #: MALGRAPH's enriched query indexes as of this generation: the
+        #: name/SHA256/ecosystem keys, groups and neighbours
+        #: (see replace_groups)
         self.indexes: Optional[GraphIndexes] = None
-        self._by_name: Dict[str, List] = {}  # lowercase name -> [PackageId]
-        self._by_sha: Dict[str, List] = {}
-        self._by_ecosystem: Dict[str, List] = {}
-        self._actors_of: Dict[object, List[str]] = {}
-        self._actor_packages: Dict[str, List] = {}  # lowercase alias -> ids
-        self._actor_label: Dict[str, str] = {}
-        self._norm_names: Dict[str, Set[str]] = {}  # normalized -> lowercase names
-        self._deletions: Dict[str, Set[str]] = {}  # variant -> normalized names
-        self._indexed_reports: Set[str] = set()
+        #: normalized name -> stored names, and deletion variant ->
+        #: normalized names (see _index_names)
+        self._norm_names: Dict[str, Tuple[str, ...]] = {}
+        self._deletions: Dict[str, Tuple[str, ...]] = {}
+        #: package id -> report actor aliases, in report order
+        self._actors_of: Dict[PackageId, Tuple[str, ...]] = {}
         #: advanced once per applied refresh/delta batch; 0 = cold build
         self.epoch = 0
         #: wall-clock time of the last applied batch (None = never)
@@ -101,123 +104,47 @@ class IntelIndex:
     # -- construction -----------------------------------------------------
     @classmethod
     def build(cls, malgraph: MalGraph) -> "IntelIndex":
-        """Index a built graph: entries, groups and report actors."""
+        """Index a built graph: its query indexes, names and report actors."""
         index = cls(malgraph.dataset)
-        for entry in malgraph.dataset.entries:
-            index.add_entry(entry)
         index.replace_groups(malgraph)
-        for report in malgraph.dataset.reports:
-            index.add_report(report)
+        index._index_names(index.indexes.by_attr.get("name", ()))
+        index._index_reports(malgraph.dataset.reports)
         return index
 
     def clone(self) -> "IntelIndex":
-        """An independent copy sharing only the immutable leaves.
+        """A copy sharing every table with this one.
 
-        The snapshot-swap refresh (:mod:`repro.service.refresh`) applies
-        a delta to a clone while lock-free readers keep resolving
-        against the original, then publishes the clone atomically. Every
-        mutable container (the bucket dicts and their lists/sets) is
-        copied one level deep — entries, package ids and reports are
-        value objects shared by reference; the dataset and the immutable
-        query-index snapshot carry over and are replaced by the refresh
-        itself.
+        Tables are immutable once built, so the copy is independent:
+        :meth:`next_generation` replaces the tables it changes.
         """
-        other = IntelIndex(self.dataset)
-        other.indexes = self.indexes
-        other._by_name = {k: list(v) for k, v in self._by_name.items()}
-        other._by_sha = {k: list(v) for k, v in self._by_sha.items()}
-        other._by_ecosystem = {k: list(v) for k, v in self._by_ecosystem.items()}
-        other._actors_of = {k: list(v) for k, v in self._actors_of.items()}
-        other._actor_packages = {k: list(v) for k, v in self._actor_packages.items()}
-        other._actor_label = dict(self._actor_label)
-        other._norm_names = {k: set(v) for k, v in self._norm_names.items()}
-        other._deletions = {k: set(v) for k, v in self._deletions.items()}
-        other._indexed_reports = set(self._indexed_reports)
-        other.epoch = self.epoch
-        other.last_delta_at = self.last_delta_at
-        return other
+        return copy.copy(self)
 
-    def add_entry(self, entry: DatasetEntry) -> None:
-        """Register one package in every per-entry index (idempotent)."""
-        pid = entry.package
-        name = pid.name.lower()
-        bucket = self._by_name.setdefault(name, [])
-        if pid not in bucket:
-            bucket.append(pid)
-        eco_bucket = self._by_ecosystem.setdefault(pid.ecosystem, [])
-        if pid not in eco_bucket:
-            eco_bucket.append(pid)
-        self.register_sha(entry)
-        norm = _normalize(pid.name)
-        if norm:
-            self._norm_names.setdefault(norm, set()).add(name)
-            for variant in _deletion_variants(norm):
-                self._deletions.setdefault(variant, set()).add(norm)
+    def next_generation(
+        self, malgraph: MalGraph, names: Iterable[str]
+    ) -> "IntelIndex":
+        """The generation serving ``malgraph`` after one delta batch.
 
-    def register_sha(self, entry: DatasetEntry) -> None:
-        """(Re-)index an entry's SHA256 (used when an artifact appears)."""
-        sha = entry.sha256()
-        if sha is None:
-            return
-        bucket = self._by_sha.setdefault(sha, [])
-        if entry.package not in bucket:
-            bucket.append(entry.package)
-
-    def unregister_sha(self, sha256: Optional[str], pid) -> None:
-        """Drop one package from a signature bucket (artifact replaced
-        or package removed)."""
-        if sha256 is None:
-            return
-        bucket = self._by_sha.get(sha256)
-        if bucket is not None and pid in bucket:
-            bucket.remove(pid)
-            if not bucket:
-                del self._by_sha[sha256]
-
-    def remove_entry(self, entry: DatasetEntry) -> None:
-        """Unregister one package from every per-entry index.
-
-        ``entry`` must be the entry as last indexed (its SHA256 locates
-        the signature bucket to leave).
+        ``malgraph`` is this generation's graph with the batch applied,
+        and ``names`` are the names the batch's added or removed packages
+        carry. The name neighbourhood is re-derived for ``names`` only
+        and the reports the batch appended attach their aliases; nothing
+        is replayed, and this generation keeps answering as before.
         """
-        pid = entry.package
-        name = pid.name.lower()
-        bucket = self._by_name.get(name)
-        if bucket is not None and pid in bucket:
-            bucket.remove(pid)
-            if not bucket:
-                del self._by_name[name]
-        eco_bucket = self._by_ecosystem.get(pid.ecosystem)
-        if eco_bucket is not None and pid in eco_bucket:
-            eco_bucket.remove(pid)
-            if not eco_bucket:
-                del self._by_ecosystem[pid.ecosystem]
-        self.unregister_sha(entry.sha256(), pid)
-        for alias in self._actors_of.pop(pid, []):
-            alias_bucket = self._actor_packages.get(alias.lower())
-            if alias_bucket is not None and pid in alias_bucket:
-                alias_bucket.remove(pid)
-        # the typo-squat neighbourhood tracks *names*; only an orphaned
-        # name leaves it
-        if name not in self._by_name:
-            norm = _normalize(pid.name)
-            held = self._norm_names.get(norm)
-            if held is not None:
-                held.discard(name)
-                if not held:
-                    del self._norm_names[norm]
-                    for variant in _deletion_variants(norm):
-                        variants = self._deletions.get(variant)
-                        if variants is not None:
-                            variants.discard(norm)
-                            if not variants:
-                                del self._deletions[variant]
+        index = self.clone()
+        index.dataset = malgraph.dataset
+        index.replace_groups(malgraph)
+        index._index_names(names)
+        index._index_reports(malgraph.dataset.reports[len(self.dataset.reports) :])
+        index.epoch = self.epoch + 1
+        index.last_delta_at = time.time()
+        return index
 
     def replace_groups(self, malgraph: MalGraph) -> None:
         """Install ``malgraph``'s enriched query indexes as this index's
-        group and neighbour table.
+        key, group and neighbour table.
 
-        The snapshot carries MALGRAPH's exact DG/DeG/SG/CG groups under
+        The snapshot carries every node's name, SHA256 and ecosystem
+        keys, MALGRAPH's exact DG/DeG/SG/CG groups under
         ``{kind}-{i:04d}`` ids and every node's neighbours. After a
         delta batch the graph derives it copy-on-write from the batch's
         index patch, and the snapshot an older generation holds never
@@ -225,40 +152,89 @@ class IntelIndex:
         """
         self.indexes = malgraph.query_indexes()
 
-    def add_report(self, report: CollectedReport) -> None:
-        """Index a report's actor alias over its resolved packages."""
-        if report.report_id in self._indexed_reports:
-            return
-        self._indexed_reports.add(report.report_id)
-        if not report.actor_alias:
-            return
-        alias_key = report.actor_alias.lower()
-        self._actor_label.setdefault(alias_key, report.actor_alias)
-        bucket = self._actor_packages.setdefault(alias_key, [])
-        for pid in report.packages:
-            if self.dataset.get(pid) is None:
+    def _index_names(self, names: Iterable[str]) -> None:
+        """Hold each of ``names`` in the name neighbourhood while some
+        node of :attr:`indexes` carries it.
+
+        Changed buckets go into copies of the tables, so the tables an
+        earlier generation holds never change.
+        """
+        norm_names = dict(self._norm_names)
+        deletions = None
+        for name in names:
+            norm = _normalize(name)
+            held = norm_names.get(norm, ())
+            live = bool(self.indexes.lookup("name", name))
+            if live == (name in held):
                 continue
-            if pid not in bucket:
-                bucket.append(pid)
-            aliases = self._actors_of.setdefault(pid, [])
-            if report.actor_alias not in aliases:
-                aliases.append(report.actor_alias)
+            now = held + (name,) if live else tuple(n for n in held if n != name)
+            if now:
+                norm_names[norm] = now
+            else:
+                del norm_names[norm]
+            # an empty normalization has no neighbourhood to join
+            if not norm or bool(now) == bool(held):
+                continue
+            if deletions is None:
+                deletions = dict(self._deletions)
+            for variant in _deletion_variants(norm):
+                norms = deletions.get(variant, ())
+                norms = norms + (norm,) if now else tuple(n for n in norms if n != norm)
+                if norms:
+                    deletions[variant] = norms
+                else:
+                    del deletions[variant]
+        self._norm_names = norm_names
+        if deletions is not None:
+            self._deletions = deletions
+
+    def _index_reports(self, reports: Iterable[CollectedReport]) -> None:
+        """Attach each report's actor alias to every package it names.
+
+        Packages not (or no longer) in the dataset keep the alias too, so
+        it shows again once they are published; :meth:`actors_of` reads
+        only packages of this generation's dataset.
+        """
+        actors = None
+        for report in reports:
+            alias = report.actor_alias
+            if not alias:
+                continue
+            if actors is None:
+                actors = dict(self._actors_of)
+            for pid in report.packages:
+                held = actors.get(pid, ())
+                if alias not in held:
+                    actors[pid] = held + (alias,)
+        if actors is not None:
+            self._actors_of = actors
 
     # -- lookups ----------------------------------------------------------
-    def entries(self, pids: Iterable) -> List[DatasetEntry]:
-        found = (self.dataset.get(pid) for pid in pids)
-        return [e for e in found if e is not None]
+    def _entries(
+        self, nodes: Iterable[str], ecosystem: Optional[str] = None
+    ) -> List[DatasetEntry]:
+        """Dataset entries of graph nodes (optionally one ecosystem's)."""
+        found = []
+        for node in nodes:
+            held = self.indexes.attrs[node]
+            if not ecosystem or held["ecosystem"] == ecosystem:
+                pid = PackageId(held["ecosystem"], held["name"], held["version"])
+                found.append(self.dataset.get(pid))
+        return found
 
     def lookup_sha256(self, sha256: str) -> List[DatasetEntry]:
-        return self.entries(self._by_sha.get(sha256.lower(), ()))
+        return self._entries(self.indexes.lookup("sha256", sha256.lower()))
 
     def lookup_name(
         self, name: str, ecosystem: Optional[str] = None
     ) -> List[DatasetEntry]:
-        pids = self._by_name.get(name.lower(), ())
-        if ecosystem:
-            pids = [p for p in pids if p.ecosystem == ecosystem]
-        return self.entries(pids)
+        """Entries whose name equals ``name`` up to case."""
+        lowered = name.lower()
+        found = []
+        for held in self._norm_names.get(_normalize(name), ()):
+            if held.lower() == lowered:
+                found.extend(self._entries(self.indexes.lookup("name", held), ecosystem))
+        return found
 
     def lookup_name_version(
         self, name: str, version: str, ecosystem: Optional[str] = None
@@ -268,12 +244,6 @@ class IntelIndex:
             for e in self.lookup_name(name, ecosystem)
             if e.package.version == version
         ]
-
-    def lookup_ecosystem(self, ecosystem: str) -> List[DatasetEntry]:
-        return self.entries(self._by_ecosystem.get(ecosystem, ()))
-
-    def lookup_actor(self, alias: str) -> List[DatasetEntry]:
-        return self.entries(self._actor_packages.get(alias.lower(), ()))
 
     def groups_of(self, pid) -> List[str]:
         return list(self.indexes.groups_of.get(node_id(pid), ()))
@@ -285,10 +255,9 @@ class IntelIndex:
         return [g for g in self.groups_of(pid) if g.startswith(_CAMPAIGN_PREFIXES)]
 
     def actors_of(self, pid) -> List[str]:
+        if self.dataset.get(pid) is None:
+            return []
         return list(self._actors_of.get(pid, ()))
-
-    def actor_aliases(self) -> List[str]:
-        return sorted(self._actor_label.values())
 
     def related(self, pid, limit: int = 25) -> List[str]:
         """Graph-neighbour node ids across every edge type (capped)."""
@@ -299,7 +268,8 @@ class IntelIndex:
     def near_names(
         self, name: str, ecosystem: Optional[str] = None, max_distance: int = 2
     ) -> List[Tuple[str, int]]:
-        """Known malicious names within a small edit distance of ``name``.
+        """Known malicious names (lowercase) within a small edit distance
+        of ``name``.
 
         Candidates come from the single-deletion neighbourhood (complete
         for distance <= 1, partial beyond), then the true
@@ -313,19 +283,20 @@ class IntelIndex:
         for variant in _deletion_variants(norm):
             candidates.update(self._deletions.get(variant, ()))
         candidates.discard(norm)
-        hits: List[Tuple[str, int]] = []
+        attrs = self.indexes.attrs
+        hits: Set[Tuple[str, int]] = set()
         for candidate in candidates:
             distance = damerau_levenshtein(norm, candidate, cap=max_distance + 1)
             if distance > max_distance:
                 continue
             for held_name in self._norm_names[candidate]:
                 if ecosystem and not any(
-                    p.ecosystem == ecosystem for p in self._by_name.get(held_name, ())
+                    attrs[node]["ecosystem"] == ecosystem
+                    for node in self.indexes.lookup("name", held_name)
                 ):
                     continue
-                hits.append((held_name, distance))
-        hits.sort(key=lambda pair: (pair[1], pair[0]))
-        return hits
+                hits.add((held_name.lower(), distance))
+        return sorted(hits, key=lambda pair: (pair[1], pair[0]))
 
     # -- provenance -------------------------------------------------------
     def source_profiles(self, entries: Sequence[DatasetEntry]) -> List[Dict]:
@@ -356,15 +327,20 @@ class IntelIndex:
         return len(self.dataset)
 
     def stats(self) -> Dict[str, object]:
-        """Index-shape counters for the ``/v1/stats`` endpoint."""
+        """Index-shape counters for the ``/v1/stats`` endpoint.
+
+        ``names`` counts names, and ``actors`` report aliases, up to case.
+        """
+        keys = self.indexes.by_attr
+        reports = self.dataset.reports
         return {
             "packages": len(self.dataset),
-            "names": len(self._by_name),
-            "signatures": len(self._by_sha),
-            "ecosystems": len(self._by_ecosystem),
+            "names": len({name.lower() for name in keys.get("name", ())}),
+            "signatures": len(keys.get("sha256", ())),
+            "ecosystems": len(keys.get("ecosystem", ())),
             "groups": len(self.indexes.group_members),
-            "actors": len(self._actor_packages),
-            "reports": len(self._indexed_reports),
+            "actors": len({r.actor_alias.lower() for r in reports if r.actor_alias}),
+            "reports": len(reports),
             "epoch": self.epoch,
             "last_delta_at": self.last_delta_at,
         }

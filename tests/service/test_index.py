@@ -6,8 +6,11 @@ import pytest
 
 from repro.core.edges import node_id
 from repro.core.groups import GroupKind
+from repro.core.malgraph import MalGraph
 from repro.intel.sources import SOURCE_PROFILES
 from repro.service.index import IntelIndex, source_reliability
+
+from tests.core.helpers import dataset, entry
 
 
 def test_every_package_resolvable_by_name_and_version(intel_index, small_dataset):
@@ -30,8 +33,8 @@ def test_name_lookup_is_case_insensitive(intel_index, small_dataset):
 
 def test_ecosystem_index_matches_dataset_view(intel_index, small_dataset):
     for ecosystem in ("pypi", "npm"):
-        held = {e.package for e in intel_index.lookup_ecosystem(ecosystem)}
-        expected = {e.package for e in small_dataset.for_ecosystem(ecosystem)}
+        held = set(intel_index.indexes.lookup("ecosystem", ecosystem))
+        expected = {node_id(e.package) for e in small_dataset.for_ecosystem(ecosystem)}
         assert held == expected
 
 
@@ -62,8 +65,8 @@ def test_actor_index_covers_report_aliases(intel_index, small_dataset):
         if not report.actor_alias:
             continue
         resolvable = [p for p in report.packages if small_dataset.get(p)]
-        held = {e.package for e in intel_index.lookup_actor(report.actor_alias)}
-        assert set(resolvable) <= held
+        for pid in resolvable:
+            assert report.actor_alias in intel_index.actors_of(pid)
 
 
 def test_related_returns_graph_neighbours(intel_index, service_malgraph):
@@ -82,6 +85,23 @@ def test_near_names_finds_single_edit_mutations(intel_index, small_dataset):
     hits = dict(intel_index.near_names(mutated))
     assert name.lower() in hits
     assert hits[name.lower()] == 1
+
+
+def test_names_match_up_to_case_in_every_lookup():
+    """Exact names, near names and the names counter fold case; the
+    ecosystem pin narrows both lookups."""
+    upper = entry("Delta-Lib", ecosystem="npm", code="function d() { return 2; }\n")
+    lower = entry("delta-lib", code="def d():\n    return 2\n")
+    index = IntelIndex.build(MalGraph.build(dataset([upper, lower])))
+    assert {e.package for e in index.lookup_name("DELTA-LIB")} == {
+        upper.package,
+        lower.package,
+    }
+    assert index.lookup_name("delta-lib", "npm") == [upper]
+    assert index.near_names("delta-lix") == [("delta-lib", 1)]
+    assert index.near_names("delta-lix", "npm") == [("delta-lib", 1)]
+    assert index.near_names("delta-lix", "rubygems") == []
+    assert index.stats()["names"] == 1
 
 
 def test_near_names_excludes_exact_match(intel_index, small_dataset):

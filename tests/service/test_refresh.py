@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.collection.merge import diff_datasets
 from repro.collection.records import MalwareDataset
@@ -27,10 +28,10 @@ from repro.service.refresh import refresh_from_events, refresh_index
 from tests.core.helpers import dataset, entry, report
 
 
-def _engine(ds):
-    """(engine, graph) over ``ds``; refreshes evolve the graph."""
+def _service(ds):
+    """(service, graph) over ``ds``; refreshes evolve the graph."""
     malgraph = MalGraph.build(ds)
-    return EnrichmentEngine(IntelIndex.build(malgraph)), malgraph
+    return build_service(malgraph), malgraph
 
 
 def _member_names(index: IntelIndex, group_id: str):
@@ -41,62 +42,64 @@ def _member_names(index: IntelIndex, group_id: str):
 
 
 def test_added_packages_resolve_after_refresh():
-    engine, malgraph = _engine(dataset([entry("old-pkg")]))
-    old = engine.index.dataset
+    service, malgraph = _service(dataset([entry("old-pkg")]))
+    old = service.index.dataset
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
-    merged, delta = refresh_index(engine.index, dataset([fresh]), malgraph=malgraph)
+    merged, delta = refresh_index(
+        service.index, dataset([fresh]), service=service, malgraph=malgraph
+    )
     assert diff_datasets(old, merged).added == [fresh.package]
     assert delta.packages_added == 1
-    assert engine.index.dataset is merged
-    result = engine.lookup(name="new-pkg", version="1.0")
+    assert service.index.dataset is merged
+    result = service.engine.lookup(name="new-pkg", version="1.0")
     assert result.verdict == VERDICT_MALICIOUS
-    by_sha = engine.lookup(sha256=fresh.sha256())
+    by_sha = service.engine.lookup(sha256=fresh.sha256())
     assert by_sha.matches == ["pypi:new-pkg@1.0"]
 
 
 def test_refresh_links_signature_duplicates_into_family():
     shared = "def payload():\n    return 'dup'\n"
-    engine, malgraph = _engine(dataset([entry("seed-pkg", code=shared)]))
+    service, malgraph = _service(dataset([entry("seed-pkg", code=shared)]))
     twin = entry("late-twin", code=shared)
-    refresh_index(engine.index, dataset([twin]), malgraph=malgraph)
-    families = engine.index.families_of(twin.package)
+    refresh_index(service.index, dataset([twin]), service=service, malgraph=malgraph)
+    families = service.index.families_of(twin.package)
     assert families
     assert families[0].startswith(f"{GroupKind.DG.value}-")
-    assert _member_names(engine.index, families[0]) == {"seed-pkg", "late-twin"}
+    assert _member_names(service.index, families[0]) == {"seed-pkg", "late-twin"}
     # and the family is reachable from the enrichment result
-    assert engine.lookup(name="late-twin").families == families
+    assert service.engine.lookup(name="late-twin").families == families
 
 
 def test_refresh_extends_existing_duplicated_group():
     shared = "def payload():\n    return 'trip'\n"
-    engine, malgraph = _engine(
+    service, malgraph = _service(
         dataset([entry("twin-a", code=shared), entry("twin-b", code=shared)])
     )
-    existing = engine.index.families_of(
-        engine.index.lookup_name("twin-a")[0].package
+    existing = service.index.families_of(
+        service.index.lookup_name("twin-a")[0].package
     )
     assert existing, "seed world should already hold a DG family"
     third = entry("twin-c", code=shared)
-    refresh_index(engine.index, dataset([third]), malgraph=malgraph)
-    assert set(engine.index.families_of(third.package)) & set(existing)
+    refresh_index(service.index, dataset([third]), service=service, malgraph=malgraph)
+    assert set(service.index.families_of(third.package)) & set(existing)
 
 
 def test_refresh_registers_new_reports_as_campaigns():
     a, b = entry("pkg-a"), entry("pkg-b", code="def b():\n    return 2\n")
-    engine, malgraph = _engine(dataset([a, b]))
-    old = engine.index.dataset
+    service, malgraph = _service(dataset([a, b]))
+    old = service.index.dataset
     covering = report("r-new", [a.package, b.package])
     covering.actor_alias = "ShadyActor"
     merged, delta = refresh_index(
-        engine.index, dataset([], [covering]), malgraph=malgraph
+        service.index, dataset([], [covering]), service=service, malgraph=malgraph
     )
     assert diff_datasets(old, merged).new_reports == ["r-new"]
     assert delta.reports_added == 1
-    result = engine.lookup(name="pkg-a")
+    result = service.engine.lookup(name="pkg-a")
     assert result.actors == ["ShadyActor"]
     # the report is a co-existing group of MALGRAPH's own extraction
     assert result.campaigns == ["CG-0000"]
-    assert _member_names(engine.index, "CG-0000") == {"pkg-a", "pkg-b"}
+    assert _member_names(service.index, "CG-0000") == {"pkg-a", "pkg-b"}
 
 
 def test_refresh_invalidates_wrapped_service():
@@ -113,51 +116,59 @@ def test_refresh_invalidates_wrapped_service():
 
 def test_refresh_merges_claims_for_known_packages():
     held = entry("known-pkg", sources=("snyk",))
-    engine, malgraph = _engine(dataset([held]))
-    old = engine.index.dataset
+    service, malgraph = _service(dataset([held]))
+    old = service.index.dataset
     again = entry("known-pkg", sources=("phylum",))
-    merged, delta = refresh_index(engine.index, dataset([again]), malgraph=malgraph)
+    merged, delta = refresh_index(
+        service.index, dataset([again]), service=service, malgraph=malgraph
+    )
     assert delta.packages_added == 0
     assert delta.packages_updated == 1
     assert diff_datasets(old, merged).new_sources == {held.package: {"phylum"}}
-    keys = {row["key"] for row in engine.lookup(name="known-pkg").sources}
+    keys = {row["key"] for row in service.engine.lookup(name="known-pkg").sources}
     assert keys == {"snyk", "phylum"}
 
 
 def test_refresh_bumps_epoch_and_timestamp():
-    engine, malgraph = _engine(dataset([entry("old-pkg")]))
-    assert engine.index.epoch == 0
-    assert engine.index.last_delta_at is None
+    service, malgraph = _service(dataset([entry("old-pkg")]))
+    assert service.index.epoch == 0
+    assert service.index.last_delta_at is None
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
-    refresh_index(engine.index, dataset([fresh]), malgraph=malgraph)
-    assert engine.index.epoch == 1
-    assert engine.index.last_delta_at is not None
-    stats = engine.index.stats()
+    refresh_index(service.index, dataset([fresh]), service=service, malgraph=malgraph)
+    assert service.index.epoch == 1
+    assert service.index.last_delta_at is not None
+    stats = service.index.stats()
     assert stats["epoch"] == 1
-    assert stats["last_delta_at"] == engine.index.last_delta_at
+    assert stats["last_delta_at"] == service.index.last_delta_at
     refresh_index(
-        engine.index, dataset([entry("third-pkg", code="x = 3\n")]), malgraph=malgraph
+        service.index,
+        dataset([entry("third-pkg", code="x = 3\n")]),
+        service=service,
+        malgraph=malgraph,
     )
-    assert engine.index.epoch == 2
+    assert service.index.epoch == 2
 
 
-def test_refresh_from_events_on_a_bare_index():
+def test_refresh_from_events_adds_and_removes_packages():
     held = entry("old-pkg")
-    engine, malgraph = _engine(dataset([held]))
+    service, malgraph = _service(dataset([held]))
     fresh = entry("new-pkg", code="def other():\n    return 1\n")
     events = [
         GraphEvent.package_added(fresh),
         GraphEvent.package_removed(held.package),
     ]
-    served, delta = refresh_from_events(engine.index, events, malgraph=malgraph)
+    served, delta = refresh_from_events(
+        service.index, events, service=service, malgraph=malgraph
+    )
     assert delta.packages_added == 1
     assert delta.packages_removed == 1
-    assert engine.index.dataset is served
+    assert service.index.dataset is served
     assert served.get(fresh.package) is not None and served.get(held.package) is None
+    engine = service.engine
     assert engine.lookup(name="new-pkg").verdict == VERDICT_MALICIOUS
     assert engine.lookup(name="old-pkg").verdict != VERDICT_MALICIOUS
     assert engine.lookup(sha256=held.sha256()).verdict != VERDICT_MALICIOUS
-    assert engine.index.epoch == 1
+    assert service.index.epoch == 1
 
 
 def test_refresh_from_events_with_malgraph_mirrors_exact_groups():
@@ -221,9 +232,11 @@ def test_concurrent_refreshes_compose_not_clobber():
 
 
 def test_held_generation_answers_from_its_own_snapshot():
-    """A generation keeps answering ``enrich`` (``related`` included) and
-    ``/v1/query`` as of its publish, while the next batch removes a
-    neighbour of the package it serves and re-clusters the graph."""
+    """A generation keeps answering ``enrich`` (``related``, ``actors``
+    and near-name verdicts included) and ``/v1/query`` as of its
+    publish, while the next batch removes a neighbour of the package it
+    serves, re-clusters the graph, adds a one-edit neighbour of its name
+    and ingests a report naming it."""
     shared = "def payload():\n    return 'trio'\n"
     entries = [entry(f"dup-{c}", code=shared) for c in "abc"] + [
         entry(f"other-{i}", code=f"def other():\n    return {i}\n") for i in range(4)
@@ -232,28 +245,215 @@ def test_held_generation_answers_from_its_own_snapshot():
     service = build_service(malgraph)
     held = service.snapshot
     indicator = Indicator(name="dup-a")
+    # one edit from dup-a, and (after the batch) from its neighbour du-a
+    typo = Indicator(name="dux-a")
     pattern = "MATCH (a {name: 'dup-a'})-[]-(b) RETURN b.name ORDER BY b.name"
     before = held.engine.enrich(indicator).to_dict()
+    before_typo = held.engine.enrich(typo).to_dict()
     rows = held.query_engine.run(pattern).rows
     assert before["verdict"] == VERDICT_MALICIOUS
     assert "pypi:dup-b@1.0" in before["related"]
+    assert before["actors"] == []
+    assert before_typo["squat"]["target"] == "dup-a"
     assert ("dup-b",) in rows
 
     fresh = entry("other-new", code="def fresh():\n    return 'new'\n")
+    neighbour = entry("du-a", code="def near():\n    return 'near'\n")
+    naming = report("r-trio", [entry("dup-a").package])
+    naming.actor_alias = "TrioActor"
     refresh_from_events(
         service.index,
         [
             GraphEvent.package_removed(entry("dup-b").package),
             GraphEvent.package_added(fresh),
+            GraphEvent.package_added(neighbour),
+            GraphEvent.report_ingested(naming),
         ],
         service=service,
         malgraph=malgraph,
     )
     assert held.engine.enrich(indicator).to_dict() == before
+    assert held.engine.enrich(typo).to_dict() == before_typo
     assert held.query_engine.run(pattern).rows == rows
     # ... while the new generation sees the batch
-    assert "pypi:dup-b@1.0" not in service.enrich(indicator).related
+    after = service.enrich(indicator)
+    assert "pypi:dup-b@1.0" not in after.related
+    assert after.actors == ["TrioActor"]
+    assert service.enrich(typo).squat["target"] == "du-a"
     assert ("dup-b",) not in service.query_engine.run(pattern).rows
+
+
+def _aliased(report_id, packages, alias):
+    held = report(report_id, [e.package for e in packages])
+    held.actor_alias = alias
+    return held
+
+
+def _named_before_added(a, b):
+    late = entry("pkg-late", code="def late():\n    return 3\n")
+    early = _aliased("r-early", [a, late], "EarlyBird")
+    return late.package, [], [
+        ([GraphEvent.report_ingested(early)], []),
+        ([GraphEvent.package_added(late)], ["EarlyBird"]),
+    ]
+
+
+def _removed_and_re_added(a, b):
+    comeback = _aliased("r-comeback", [a, b], "Comeback")
+    return b.package, [comeback], [
+        ([GraphEvent.package_removed(b.package)], []),
+        ([GraphEvent.package_added(b)], ["Comeback"]),
+    ]
+
+
+def _typo(name):
+    return name[:-1] + ("x" if name[-1] != "x" else "y")
+
+
+def _answers(engine, entries):
+    """``enrich`` of each entry by name, upper-cased name,
+    name@version+ecosystem, one-edit typo (bare and ecosystem-pinned)
+    and sha256, plus the index shape (minus the refresh clock)."""
+    answers = []
+    for held in sorted(entries, key=lambda e: e.package):
+        pid = held.package
+        shapes = [
+            Indicator(name=pid.name),
+            Indicator(name=pid.name.upper()),
+            Indicator(name=pid.name, version=pid.version, ecosystem=pid.ecosystem),
+            Indicator(name=_typo(pid.name)),
+            Indicator(name=_typo(pid.name), ecosystem=pid.ecosystem),
+        ]
+        if held.sha256():
+            shapes.append(Indicator(sha256=held.sha256()))
+        answers.extend(engine.enrich(shape).to_dict() for shape in shapes)
+    shape = engine.index.stats()
+    del shape["epoch"], shape["last_delta_at"]
+    return answers, shape
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        pytest.param(_named_before_added, id="named-before-added"),
+        pytest.param(_removed_and_re_added, id="removed-and-re-added"),
+    ],
+)
+def test_refreshed_actor_aliases_match_a_cold_build(scenario):
+    """A report's alias reaches every package it names once that package
+    is served, whatever the order in which the report and the package
+    arrive or leave."""
+    a, b = entry("pkg-a"), entry("pkg-b", code="def b():\n    return 2\n")
+    pid, reports, batches = scenario(a, b)
+    service, malgraph = _service(dataset([a, b], reports))
+    for events, actors in batches:
+        refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+        assert service.index.actors_of(pid) == actors
+        cold = EnrichmentEngine(IntelIndex.build(malgraph))
+        entries = malgraph.dataset.entries
+        assert _answers(service.engine, entries) == _answers(cold, entries)
+    assert service.engine.lookup(name=pid.name).actors == actors
+
+
+# -- every generation against a cold build ----------------------------------
+
+#: (name, ecosystem, code) of the base world: a DG pair, one name in two
+#: ecosystems and one name in two cases
+_BASE = [
+    ("alpha-pkg", "pypi", "def twin():\n    return 0\n"),
+    ("bravo-pkg", "pypi", "def twin():\n    return 0\n"),
+    ("charlie", "pypi", "def c():\n    return 1\n"),
+    ("charlie", "npm", "function c() { return 1; }\n"),
+    ("delta-lib", "pypi", "def d():\n    return 2\n"),
+    ("Delta-Lib", "npm", "function d() { return 2; }\n"),
+]
+#: names a script may add (or name in a report before adding them)
+_LATER = ["golf-pkg", "hotel", "india-lib", "juliet", "kilo-tool"]
+_ALIASES = ["EarlyBird", "earlybird", "Comeback"]
+
+_step = st.tuples(
+    st.sampled_from(["add", "detect", "remove", "readd", "report", "neighbour"]),
+    st.integers(min_value=0, max_value=50),
+)
+
+
+class _Script:
+    """Turns drawn steps into valid event batches, tracking the world."""
+
+    def __init__(self):
+        self.live = {}  # PackageId -> entry
+        self.gone = {}  # removed PackageId -> its last entry
+        self.seen = {}  # every PackageId ever served -> its last entry
+        self.later = list(_LATER)
+        self.serial = 0
+        for name, ecosystem, code in _BASE:
+            self._serve(entry(name, ecosystem=ecosystem, code=code))
+
+    def _serve(self, held):
+        self.live[held.package] = self.seen[held.package] = held
+        self.gone.pop(held.package, None)
+
+    def _fresh(self, name, ecosystem="pypi"):
+        self.serial += 1
+        return entry(name, ecosystem=ecosystem, code=f"def v():\n    return {self.serial}\n")
+
+    def _taken(self, name, ecosystem):
+        return any(p.name == name and p.ecosystem == ecosystem for p in self.live)
+
+    def event(self, kind, pick):
+        live = sorted(self.live)
+        if kind == "add" and self.later:
+            held = self._fresh(self.later.pop(pick % len(self.later)))
+            self._serve(held)
+            return GraphEvent.package_added(held)
+        if kind == "detect" and live:
+            pid = live[pick % len(live)]
+            held = self._fresh(pid.name, pid.ecosystem)
+            self._serve(held)
+            return GraphEvent.package_detected(held)
+        if kind == "remove" and live:
+            pid = live[pick % len(live)]
+            self.gone[pid] = self.live.pop(pid)
+            return GraphEvent.package_removed(pid)
+        if kind == "readd" and self.gone:
+            held = self.gone[sorted(self.gone)[pick % len(self.gone)]]
+            self._serve(held)
+            return GraphEvent.package_added(held)
+        if kind == "report" and live and self.later:
+            self.serial += 1
+            future = entry(self.later[pick % len(self.later)]).package
+            held = report(f"r-{self.serial}", [live[pick % len(live)], future])
+            held.actor_alias = _ALIASES[pick % len(_ALIASES)]
+            return GraphEvent.report_ingested(held)
+        if kind == "neighbour" and live:
+            pid = live[pick % len(live)]
+            name = _typo(pid.name) if pick % 2 else pid.name + "s"
+            if not self._taken(name, pid.ecosystem):
+                held = self._fresh(name, pid.ecosystem)
+                self._serve(held)
+                return GraphEvent.package_added(held)
+        return None
+
+
+@given(batches=st.lists(st.lists(_step, min_size=1, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_every_generation_answers_like_a_cold_build(batches):
+    """After each refresh the published generation answers every lookup
+    exactly as ``IntelIndex.build`` over the same graph state does."""
+    script = _Script()
+    service, malgraph = _service(dataset(list(script.live.values())))
+    for steps in batches:
+        events = [script.event(kind, pick) for kind, pick in steps]
+        events = [event for event in events if event is not None]
+        if not events:
+            continue
+        refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+        cold = EnrichmentEngine(IntelIndex.build(malgraph))
+        seen = script.seen.values()
+        assert _answers(service.engine, seen) == _answers(cold, seen)
+        # aliases of packages a report names stay hidden while unserved
+        for pid in set(script.seen) - set(script.live):
+            assert service.index.actors_of(pid) == []
 
 
 # -- against the simulated world ------------------------------------------
