@@ -13,12 +13,17 @@ For each world scale it:
    (embedding the whole corpus into the per-SHA cache), reported
    separately because a live service pays it once per process;
 3. applies a second batch at steady state — the number that matters for
-   a continuously-ingesting service;
+   a continuously-ingesting service — and then reads the graph's query
+   indexes (``index_patch_s``): the snapshot read before the batch is
+   patched from the batch's index patch, as on every service refresh;
 4. cold-rebuilds from the post-events collection and byte-compares the
-   canonical serialisations.
+   canonical serialisations, and compares the patched query indexes
+   field by field with ``build_indexes`` over the evolved graph
+   (``index_build_s``).
 
-The equivalence gate (byte-identity with a cold rebuild, after every
-batch) always runs. At scales >= 10 the steady-state delta apply must
+The equivalence gates (byte-identity with a cold rebuild after every
+batch, and the patched snapshot equal to a cold index build) always
+run. At scales >= 10 the steady-state delta apply must
 additionally be >= 10x faster than the full rebuild it replaces.
 
 ``--record FILE`` appends the numbers to a JSON trajectory file
@@ -36,6 +41,7 @@ from pathlib import Path
 from repro.collection.records import CollectedReport, DatasetEntry, SourceClaim
 from repro.core.delta import GraphEvent, apply_events_to_dataset
 from repro.core.malgraph import MalGraph
+from repro.core.query import build_indexes
 from repro.ecosystem.package import PackageId, make_artifact
 from repro.io.malgraphs import canonical_malgraph_json
 from repro.world import WorldConfig, build_world, collect
@@ -46,6 +52,10 @@ SPEEDUP_AT_SCALE = 10.0
 
 #: event batches stay below this fraction of the corpus
 BATCH_FRACTION = 0.01
+
+#: the GraphIndexes fields a patched snapshot must share with a cold build
+INDEX_FIELDS = ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
+                "group_members", "groups_of")
 
 
 def _clone_with_downloads(entry: DatasetEntry, downloads: int) -> DatasetEntry:
@@ -151,10 +161,21 @@ def bench_scale(scale: float, record: list) -> None:
 
     # -- second batch: steady state (what a live service pays; the
     # service refresh path applies in place, so the bench does too) --------
+    evolved.query_indexes()  # the snapshot a service holds before the batch
     batch2 = _batch(mid_dataset, rng, 2)
     started = time.perf_counter()
     head, delta2 = evolved.apply_delta(batch2, in_place=True)
     delta_s = time.perf_counter() - started
+    started = time.perf_counter()
+    patched = head.query_indexes()
+    index_patch_s = time.perf_counter() - started
+    started = time.perf_counter()
+    cold_indexes = build_indexes(head.graph, head)
+    index_build_s = time.perf_counter() - started
+    for name in INDEX_FIELDS:
+        assert getattr(patched, name) == getattr(cold_indexes, name), (
+            f"batch 2: patched query indexes differ from a cold build in {name}"
+        )
     final_dataset = apply_events_to_dataset(mid_dataset, batch2)
     started = time.perf_counter()
     rebuilt = MalGraph.build(final_dataset)
@@ -167,7 +188,12 @@ def bench_scale(scale: float, record: list) -> None:
         f"delta apply #2: {delta_s:6.2f} s  ({len(batch2)} events, steady state)"
     )
     print(f"full rebuild:   {rebuild_s:6.2f} s   speedup {speedup:6.1f}x")
+    print(
+        f"index patch:    {index_patch_s:8.4f} s  "
+        f"(cold index build {index_build_s:.4f} s)"
+    )
     print("equivalence gate: byte-identical after both batches  OK")
+    print("index gate: patched snapshot equals a cold index build  OK")
 
     record.append(
         {
@@ -178,6 +204,8 @@ def bench_scale(scale: float, record: list) -> None:
             "cold_build_s": round(cold_s, 4),
             "bootstrap_apply_s": round(bootstrap_s, 4),
             "delta_apply_s": round(delta_s, 4),
+            "index_patch_s": round(index_patch_s, 4),
+            "index_build_s": round(index_build_s, 4),
             "rebuild_s": round(rebuild_s, 4),
             "speedup": round(speedup, 2),
             "equivalent": True,

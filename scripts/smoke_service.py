@@ -3,7 +3,10 @@
 
 Builds a small world, boots the server on an ephemeral port, performs
 one single-indicator enrich and one batch enrich over real HTTP, and
-asserts the JSON response schema. Exits nonzero on any failure.
+asserts the JSON response schema. It then refreshes the live service
+with one event batch that publishes a copy of a known artifact under a
+new name, and checks over HTTP that the new generation serves it with
+the families a cold index build gives. Exits nonzero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_service.py [--seed N] [--scale F]
 """
@@ -11,14 +14,19 @@ Usage: PYTHONPATH=src python scripts/smoke_service.py [--seed N] [--scale F]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import threading
 import urllib.request
 from urllib.parse import quote
 
+from repro.core.delta import GraphEvent
 from repro.core.malgraph import MalGraph
+from repro.ecosystem.package import PackageId, make_artifact
 from repro.service import build_service
+from repro.service.index import IntelIndex
+from repro.service.refresh import refresh_from_events
 from repro.service.server import create_server, server_address
 from repro.world import WorldConfig, build_world, collect
 
@@ -62,7 +70,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     dataset = collect(build_world(WorldConfig(seed=args.seed, scale=args.scale))).dataset
-    service = build_service(MalGraph.build(dataset))
+    malgraph = MalGraph.build(dataset)
+    service = build_service(malgraph)
     server = create_server(service, port=0)
     host, port = server_address(server)
     base = f"http://{host}:{port}"
@@ -113,6 +122,37 @@ def main(argv=None) -> int:
         assert enrich_row["status"] == {"200": 1}, metrics
         assert enrich_row["latency"]["p99_ms"] is not None, metrics
         print(f"metrics: {metrics['total_requests']} requests accounted")
+
+        # one refresh: a new name carrying a known artifact joins its
+        # duplicated family in the next generation
+        template = dataset.available_entries()[0]
+        eco = template.package.ecosystem
+        published = dataclasses.replace(
+            template,
+            package=PackageId(eco, "smoke-refresh-published", "1.0"),
+            artifact=make_artifact(
+                eco, "smoke-refresh-published", "1.0", dict(template.artifact.files)
+            ),
+        )
+        refresh_from_events(
+            service.index,
+            [GraphEvent.package_added(published)],
+            service=service,
+            malgraph=malgraph,
+        )
+        health = fetch(f"{base}/v1/healthz")
+        assert health["epoch"] == 1, health
+        assert health["packages"] == len(dataset) + 1, health
+        fresh = fetch(
+            f"{base}/v1/enrich?name={published.package.name}"
+            f"&version={published.package.version}&ecosystem={eco}"
+        )
+        check_result(fresh, "enrich after refresh")
+        assert fresh["verdict"] == "malicious", fresh["verdict"]
+        cold = IntelIndex.build(malgraph).families_of(published.package)
+        assert fresh["families"] == cold and cold, (fresh["families"], cold)
+        print(f"refresh to epoch {health['epoch']}: {published.package} "
+              f"{fresh['verdict']} in {fresh['families']}")
         print("smoke OK")
         return 0
     finally:

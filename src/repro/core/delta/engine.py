@@ -624,7 +624,6 @@ def apply_delta(
         removed_ids,
         refreshed,
         adjacency_touched,
-        groups_changed=bool(added or removed or changed or new_reports),
     )
 
     report.seconds = time.perf_counter() - started
@@ -730,7 +729,6 @@ def _record_patch(
     removed_ids: Set[str],
     refreshed: Set[str],
     adjacency_touched: Dict[EdgeType, FrozenSet[str]],
-    groups_changed: bool,
 ) -> None:
     from repro.core.query.indexes import IndexPatch, record_index_patch
 
@@ -742,6 +740,5 @@ def _record_patch(
             removed_nodes=frozenset(removed_ids),
             refreshed_nodes=frozenset(refreshed),
             adjacency_touched=adjacency_touched,
-            groups_changed=groups_changed,
         ),
     )

@@ -16,7 +16,9 @@ structures directly: a :class:`GraphIndexes` snapshot materialises
 * **inverted attribute indexes** (:data:`INDEXED_ATTRS`) used by the
   planner to seed traversals from the most selective filter;
 * **group-membership maps** — group id ↔ member node ids, with ids
-  matching :class:`repro.service.index.IntelIndex` (``SG-0001``, …).
+  matching :class:`repro.service.index.IntelIndex` (``SG-0001``, …),
+  plus each group's rank key (``group_ranks``), which lets a patch
+  re-rank a kind without re-scanning its untouched groups.
 
 Indexes are cached on the graph object behind a lock (the same
 double-checked pattern :meth:`MalGraph.groups` uses) and invalidated by
@@ -26,11 +28,17 @@ the graph's mutation counter, so callers may simply call
 The delta engine additionally records an :class:`IndexPatch` journal on
 the graph, keyed on the same mutation counter: when a cached snapshot is
 stale but an unbroken ``from_version -> to_version`` patch chain covers
-the gap, :func:`graph_indexes` patches the snapshot incrementally —
-copy-on-write, refreshing only touched nodes — instead of rebuilding
-from scratch. Any version gap the journal cannot bridge (direct graph
-mutation, journal trimmed) falls back to a full rebuild, so a stale
-read is impossible either way.
+the gap, :func:`graph_indexes` derives the next snapshot from it
+(:func:`apply_index_patches`) instead of rebuilding from scratch. The
+derivation is copy-on-write. It is O(touched nodes) for attrs,
+neighbour tuples and attribute buckets, and O(touched groups) to
+re-rank the DG/DeG/SG/CG groups. Group ids are positional, so every
+group whose id shifts is rewritten: that part is O(renumbered groups).
+The shallow copies of the top-level tables (``attrs``, each ``any_dir``
+map, ``groups_of``) and the directed dependency maps stay O(N). Any
+version gap the journal cannot bridge (direct graph mutation, journal
+trimmed) falls back to a full rebuild, so a stale read is impossible
+either way.
 """
 
 from __future__ import annotations
@@ -59,6 +67,12 @@ INDEXED_ATTRS = (
 
 _EMPTY: Tuple[str, ...] = ()
 
+#: a group's position key among the groups of its kind: (-size, node id
+#: of its earliest member), the order ``groups_from_components`` sorts by
+RankKey = Tuple[int, str]
+#: one kind's groups in id order, each as (rank key, sorted members)
+RankedGroups = Tuple[Tuple[RankKey, Tuple[str, ...]], ...]
+
 
 @dataclass
 class GraphIndexes:
@@ -72,6 +86,9 @@ class GraphIndexes:
     by_attr: Dict[str, Dict[Any, Tuple[str, ...]]]
     group_members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     groups_of: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+    #: group kind value (``"DG"`` …) -> its groups in id order with their
+    #: rank keys, so a patch re-ranks only the groups a batch touched
+    group_ranks: Dict[str, RankedGroups] = field(default_factory=dict)
     version: int = 0
     enriched: bool = False
 
@@ -166,6 +183,7 @@ def build_indexes(
 
     group_members: Dict[str, Tuple[str, ...]] = {}
     groups_of: Dict[str, Tuple[str, ...]] = {}
+    group_ranks: Dict[str, RankedGroups] = {}
     if malgraph is not None:
         from repro.core.edges import node_id
 
@@ -178,7 +196,7 @@ def build_indexes(
             if held is not None:
                 _enrich_attrs(held, entry)
 
-        group_members, groups_of, group_attrs = _group_maps(malgraph)
+        group_members, groups_of, group_attrs, group_ranks = _group_maps(malgraph)
         for node, group_ids in group_attrs.items():
             if node in attrs:
                 attrs[node].update(group_ids)
@@ -204,6 +222,7 @@ def build_indexes(
         },
         group_members=group_members,
         groups_of=groups_of,
+        group_ranks=group_ranks,
         version=graph.version,
         enriched=malgraph is not None,
     )
@@ -229,7 +248,6 @@ class IndexPatch:
     removed_nodes: FrozenSet[str]
     refreshed_nodes: FrozenSet[str]
     adjacency_touched: Dict[EdgeType, FrozenSet[str]]
-    groups_changed: bool
 
 
 def record_index_patch(graph: PropertyGraph, patch: IndexPatch) -> None:
@@ -268,23 +286,37 @@ def apply_index_patches(
     malgraph=None,
 ) -> GraphIndexes:
     """A fresh snapshot equal to ``build_indexes(graph, malgraph)``,
-    derived from ``held`` by refreshing only what the patches touched.
+    derived from ``held`` and the patch chain that led from its version
+    to the graph's.
 
     Copy-on-write: untouched attr dicts, neighbour tuples, group tuples
     and inverted-index buckets are shared with ``held`` (both snapshots
-    are immutable by convention), so a batch allocates in proportion to
-    what it changed.
+    are immutable by convention). Per chain the work is
+
+    * O(touched nodes): refreshed attr dicts, neighbour tuples and the
+      inverted-index buckets their own attributes left or joined;
+    * O(touched groups) to re-derive DG/DeG/SG/CG groups: a kind's
+      groups holding a node the chain touched for that kind's edge type
+      (or removed, or refreshed) are replaced by those nodes' final
+      components, read from the delta engine's component trackers
+      (:func:`_rerank_groups`). Re-ranking merges them into the kind's
+      held rank list, which compares rank keys and tuple identities
+      only; untouched groups' members are never re-scanned;
+    * O(renumbered groups): ids are positional (``{kind}-{i:04d}``), so
+      every id that now names different members rewrites its members'
+      group attributes, ``groups_of`` entries and id bucket;
+    * O(N) shallow copies of the top-level tables (``attrs``, each
+      ``any_dir`` map, ``groups_of``) and, over a ``MalGraph``, a full
+      pass over its dependency pairs for the directed maps.
     """
     removed_any: set = set()
     refreshed_any: set = set()
     touched: Dict[EdgeType, set] = {t: set() for t in EdgeType}
-    groups_changed = False
     for patch in patches:
         removed_any |= patch.removed_nodes
         refreshed_any |= patch.refreshed_nodes
         for edge_type, nodes in patch.adjacency_touched.items():
             touched[edge_type] |= nodes
-        groups_changed = groups_changed or patch.groups_changed
     # the final graph resolves remove-then-republish across the chain
     final_removed = {n for n in removed_any if not graph.has_node(n)}
     final_refresh = {
@@ -303,14 +335,6 @@ def apply_index_patches(
             _enrich_attrs(fresh, malgraph.dataset.get(package))
         attrs[node] = fresh
 
-    copied = set(final_refresh)
-
-    def mutable(node: str) -> Dict[str, Any]:
-        if node not in copied:
-            attrs[node] = dict(attrs[node])
-            copied.add(node)
-        return attrs[node]
-
     any_dir: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
     for edge_type in EdgeType:
         per_node = dict(held.any_dir[edge_type])
@@ -327,29 +351,24 @@ def apply_index_patches(
     out = dict(any_dir)
     into = dict(any_dir)
 
+    by_attr = _patch_by_attr(held, attrs, final_removed | final_refresh)
     group_members = held.group_members
     groups_of = held.groups_of
+    group_ranks = held.group_ranks
     if malgraph is not None:
         dep_out, dep_in = _directed_dependency(malgraph)
         out[EdgeType.DEPENDENCY] = dep_out
         into[EdgeType.DEPENDENCY] = dep_in
-        if groups_changed:
-            group_members, groups_of, group_attrs = _group_maps(malgraph, held)
-            # nodes whose dg/deg/sg/cg attributes may differ: every old
-            # and new group member, plus the freshly rebuilt attr dicts
-            for node in set(held.groups_of) | set(groups_of) | final_refresh:
-                if node not in attrs:
-                    continue
-                want = group_attrs.get(node, {})
-                have = attrs[node]
-                if all(have.get(key) == want.get(key) for key in _GROUP_ATTRS):
-                    continue
-                node_attrs = mutable(node)
-                for key in _GROUP_ATTRS:
-                    node_attrs.pop(key, None)
-                node_attrs.update(want)
+        group_members, groups_of, group_ranks = _rerank_groups(
+            held,
+            attrs,
+            by_attr,
+            touched,
+            removed_any | refreshed_any,
+            final_refresh,
+            malgraph._delta_state.trackers,
+        )
 
-    changed_nodes = final_removed | copied
     unchanged = not final_removed and all(n in held.attrs for n in final_refresh)
     return GraphIndexes(
         nodes=held.nodes if unchanged else tuple(sorted(attrs)),
@@ -357,9 +376,10 @@ def apply_index_patches(
         out=out,
         into=into,
         any_dir=any_dir,
-        by_attr=_patch_by_attr(held, attrs, changed_nodes),
+        by_attr=by_attr,
         group_members=group_members,
         groups_of=groups_of,
+        group_ranks=group_ranks,
         version=graph.version,
         enriched=held.enriched,
     )
@@ -367,6 +387,10 @@ def apply_index_patches(
 
 #: the per-node group-id attributes of an enriched snapshot
 _GROUP_ATTRS = ("dg", "deg", "sg", "cg")
+#: the indexed attributes a node carries itself (not its group ids)
+_NODE_ATTRS = tuple(a for a in INDEXED_ATTRS if a not in _GROUP_ATTRS)
+#: where :class:`repro.core.groups.PackageGroup` orders an unknown release day
+_NO_DAY = 1 << 30
 
 
 def _enrich_attrs(held: Dict[str, Any], entry) -> None:
@@ -380,49 +404,171 @@ def _enrich_attrs(held: Dict[str, Any], entry) -> None:
     held["downloads"] = entry.downloads
 
 
-def _group_maps(malgraph, held: Optional[GraphIndexes] = None):
-    """(group_members, groups_of, per-node group attrs) of ``malgraph``.
-
-    Member and group-id tuples equal to ``held``'s are taken from it, so
-    unchanged groups stay shared between snapshots.
-    """
+def _group_maps(malgraph):
+    """(group_members, groups_of, per-node group attrs, group_ranks) of
+    ``malgraph``, from its materialised groups."""
     from repro.core.edges import node_id
     from repro.core.groups import GroupKind
 
     group_members: Dict[str, Tuple[str, ...]] = {}
     fresh_groups_of: Dict[str, List[str]] = {}
     group_attrs: Dict[str, Dict[str, str]] = {}
+    group_ranks: Dict[str, RankedGroups] = {}
     for kind in GroupKind:
         key = kind.value.lower()
+        ranked = []
         for i, group in enumerate(malgraph.groups(kind)):
             group_id = f"{kind.value}-{i:04d}"
             members = tuple(sorted(node_id(m.package) for m in group.members))
-            if held is not None and held.group_members.get(group_id) == members:
-                members = held.group_members[group_id]
+            ranked.append(((-group.size, node_id(group.members[0].package)), members))
             group_members[group_id] = members
             for member in members:
                 fresh_groups_of.setdefault(member, []).append(group_id)
                 group_attrs.setdefault(member, {})[key] = group_id
-    groups_of: Dict[str, Tuple[str, ...]] = {}
-    for node, ids in sorted(fresh_groups_of.items()):
-        ids = tuple(ids)
-        if held is not None and held.groups_of.get(node) == ids:
-            ids = held.groups_of[node]
-        groups_of[node] = ids
-    return group_members, groups_of, group_attrs
+        group_ranks[kind.value] = tuple(ranked)
+    groups_of = {node: tuple(ids) for node, ids in sorted(fresh_groups_of.items())}
+    return group_members, groups_of, group_attrs, group_ranks
+
+
+def _rank_key(attrs: Dict[str, Dict[str, Any]], members: Tuple[str, ...]) -> RankKey:
+    """A group's :data:`RankKey`: its earliest member is the one with the
+    lowest (release day, unknown last; node id), as ``PackageGroup``
+    orders members (``str(PackageId)`` is the node id)."""
+
+    def released(node: str) -> Tuple[int, str]:
+        day = attrs[node].get("release_day")
+        return (_NO_DAY if day is None else day, node)
+
+    return (-len(members), min(members, key=released))
+
+
+def _rerank_groups(
+    held: GraphIndexes,
+    attrs: Dict[str, Dict[str, Any]],
+    by_attr: Dict[str, Dict[Any, Tuple[str, ...]]],
+    touched: Dict[EdgeType, set],
+    dirty_nodes: set,
+    refreshed: set,
+    trackers,
+):
+    """(group_members, groups_of, group_ranks) of the patched snapshot.
+
+    A node is dirty for a kind if ``touched`` holds it for the kind's
+    edge type or it is in ``dirty_nodes`` (removed or refreshed). Held
+    groups holding a dirty node are dropped and the surviving dirty
+    nodes' final components, from the delta engine's ``trackers``, take
+    their place. Only ids whose member tuple changed are rewritten; the
+    new snapshot's ``attrs`` and ``by_attr`` (whose id bucket is the
+    same sorted member tuple) are updated in place. Nodes in
+    ``refreshed`` have fresh attr dicts and always get their group
+    attrs back.
+    """
+    from repro.core.groups import GroupKind
+
+    group_members = dict(held.group_members)
+    group_ranks = dict(held.group_ranks)
+    # node -> {group attr: its new group id, or None if it left one}
+    moved: Dict[str, Dict[str, Optional[str]]] = {}
+    for kind in GroupKind:
+        prefix, key = kind.value, kind.value.lower()
+        dirty = touched[kind.edge_type] | dirty_nodes
+        if not dirty:
+            continue
+        ranked = held.group_ranks.get(prefix, ())
+        stale: set = set()
+        placed: set = set()
+        fresh = []
+        component_of = trackers[kind.edge_type].component_of
+        for node in dirty:
+            group_id = held.attrs.get(node, {}).get(key)
+            if group_id is not None:
+                stale.add(int(group_id[len(prefix) + 1 :]))
+            if node in placed or node not in attrs:
+                continue
+            component = component_of(node)
+            if component:
+                placed.update(component)
+                members = tuple(sorted(component))
+                fresh.append((_rank_key(attrs, members), members))
+        if not stale and not fresh:
+            continue
+        kept = [group for i, group in enumerate(ranked) if i not in stale]
+        reranked = sorted(kept + fresh, key=lambda group: group[0])
+        buckets = None
+        for i in range(max(len(ranked), len(reranked))):
+            old = ranked[i][1] if i < len(ranked) else None
+            new = reranked[i][1] if i < len(reranked) else None
+            if old is new:
+                continue
+            if old is not None and old == new:
+                # re-derived unchanged: share the held tuple
+                reranked[i] = (reranked[i][0], old)
+                continue
+            group_id = f"{prefix}-{i:04d}"
+            if buckets is None:
+                buckets = dict(by_attr.get(key, {}))
+            if new is None:
+                del group_members[group_id]
+                del buckets[group_id]
+            else:
+                group_members[group_id] = buckets[group_id] = new
+                for node in new:
+                    moved.setdefault(node, {})[key] = group_id
+            for node in old or ():
+                moved.setdefault(node, {}).setdefault(key, None)
+        group_ranks[prefix] = tuple(reranked)
+        if buckets:
+            by_attr[key] = buckets
+        elif buckets is not None:
+            by_attr.pop(key, None)
+
+    # a held node's group attrs are exactly its held groups_of entry
+    groups_of = dict(held.groups_of)
+    for node in moved.keys() | refreshed:
+        have = attrs.get(node)
+        if have is None:
+            groups_of.pop(node, None)
+            continue
+        before = held.attrs.get(node, {})
+        change = moved.get(node, {})
+        want = {}
+        for key in _GROUP_ATTRS:
+            group_id = change[key] if key in change else before.get(key)
+            if group_id is not None:
+                want[key] = group_id
+        ids = tuple(want.values())
+        same = ids == held.groups_of.get(node, _EMPTY)
+        if node in refreshed:
+            have.update(want)
+        elif not same:
+            have = attrs[node] = dict(have)
+            for key in _GROUP_ATTRS:
+                if key not in want:
+                    have.pop(key, None)
+            have.update(want)
+        if same:
+            continue
+        if ids:
+            groups_of[node] = ids
+        else:
+            groups_of.pop(node, None)
+    return group_members, groups_of, group_ranks
 
 
 def _patch_by_attr(
     held: GraphIndexes, attrs: Dict[str, Dict[str, Any]], changed: set
 ) -> Dict[str, Dict[Any, Tuple[str, ...]]]:
-    """``held.by_attr`` with only the buckets ``changed`` nodes left or
-    joined rebuilt (each still a sorted node tuple)."""
+    """``held.by_attr`` with only the buckets ``changed`` nodes' own
+    attributes left or joined rebuilt (each still a sorted node tuple).
+
+    Group-id buckets are :func:`_rerank_groups`' to patch.
+    """
     joined: Dict[str, Dict[Any, List[str]]] = {}
     dirty: Dict[str, set] = {}
     for node in changed:
         before = held.attrs.get(node, {})
         after = attrs.get(node, {})
-        for attr in INDEXED_ATTRS:
+        for attr in _NODE_ATTRS:
             old, new = before.get(attr), after.get(attr)
             if new is not None:
                 joined.setdefault(attr, {}).setdefault(new, []).append(node)
@@ -444,6 +590,8 @@ def _patch_by_attr(
         else:
             by_attr.pop(attr, None)
     return by_attr
+
+
 
 
 # ---------------------------------------------------------------------------

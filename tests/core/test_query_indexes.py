@@ -201,51 +201,121 @@ def _assert_same_indexes(held, fresh):
     assert held.enriched == fresh.enriched
 
 
+_SHARED = "def payload():\n    return 'twin'\n"
+_PAIR = "def pair():\n    return 'pair'\n"
+_FRONT = "def front():\n    return 'front'\n"
+
+
 def _delta_world():
+    """alpha+twin and bravo+zulu are DG pairs (ranked by their earliest
+    members, alpha and bravo), beta depends on alpha and one report names
+    alpha and beta."""
     from repro.core.malgraph import MalGraph as _MalGraph
 
     from tests.core.helpers import dataset, entry, report
 
-    shared = "def payload():\n    return 'twin'\n"
-    alpha = entry("alpha", code=shared)
-    twin = entry("twin", code=shared)
+    alpha = entry("alpha", code=_SHARED)
+    twin = entry("twin", code=_SHARED)
     beta = entry("beta", code="def b():\n    return 2\n", dependencies=("alpha",))
-    ds = dataset([alpha, twin, beta], [report("r-0", [alpha.package, beta.package])])
+    pair = [entry(name, code=_PAIR) for name in ("bravo", "zulu")]
+    ds = dataset(
+        [alpha, twin, beta, *pair], [report("r-0", [alpha.package, beta.package])]
+    )
     return _MalGraph.build(ds), alpha, twin, beta
+
+
+def _no_full_derivation(monkeypatch):
+    """Make a full index build or group materialisation fail the test."""
+    from repro.core.query import indexes as indexes_module
+
+    def failing_build(*args, **kwargs):
+        raise AssertionError("patch chain should have avoided build_indexes")
+
+    def failing_groups(self, kind):
+        raise AssertionError("patch chain should not re-derive every group")
+
+    monkeypatch.setattr(indexes_module, "build_indexes", failing_build)
+    monkeypatch.setattr(MalGraph, "groups", failing_groups)
+
+
+def _dg_id(indexes, name):
+    return indexes.node_attrs(f"pypi:{name}@1.0").get("dg")
 
 
 def test_apply_delta_patches_cached_indexes_without_rebuild(monkeypatch):
     from repro.core.delta import GraphEvent
-    from repro.core.query import indexes as indexes_module
 
     from tests.core.helpers import entry
 
     malgraph, alpha, twin, beta = _delta_world()
-    shared = "def payload():\n    return 'twin'\n"
     plain_before = graph_indexes(malgraph.graph)
     enriched_before = malgraph.query_indexes()
 
+    # a new DG pair ranking ahead of both held pairs renumbers the
+    # untouched bravo+zulu pair
     events = [
-        GraphEvent.package_added(entry("late", code=shared, downloads=4)),
+        GraphEvent.package_added(entry("late", code=_SHARED, downloads=4)),
         GraphEvent.package_removed(twin.package),
+        GraphEvent.package_added(entry("aaa-one", code=_FRONT)),
+        GraphEvent.package_added(entry("aaa-two", code=_FRONT)),
     ]
     malgraph.apply_delta(events, in_place=True)
 
     # the refresh must go through the patch chain, not a full rebuild
-    def failing_build(*args, **kwargs):
-        raise AssertionError("patch chain should have avoided build_indexes")
-
-    monkeypatch.setattr(indexes_module, "build_indexes", failing_build)
+    _no_full_derivation(monkeypatch)
     plain_after = graph_indexes(malgraph.graph)
     enriched_after = malgraph.query_indexes()
     monkeypatch.undo()
 
     assert plain_after is not plain_before
     assert enriched_after is not enriched_before
+    assert _dg_id(enriched_after, "aaa-one") == "DG-0000"
+    assert _dg_id(enriched_before, "bravo") == "DG-0001"
+    assert _dg_id(enriched_after, "bravo") == "DG-0002"
     _assert_same_indexes(plain_after, build_indexes(malgraph.graph))
     _assert_same_indexes(
         enriched_after, build_indexes(malgraph.graph, malgraph)
     )
+
+
+def _chain_batches(alpha, twin, beta):
+    """Three batches: a new front-ranked DG pair while beta leaves; alpha
+    redated, which moves alpha+twin behind bravo+zulu without changing
+    either pair's members; twin removed and beta republished."""
+    import dataclasses
+
+    from repro.core.delta import GraphEvent
+
+    from tests.core.helpers import entry
+
+    return [
+        [
+            GraphEvent.package_added(entry("aaa-one", code=_FRONT)),
+            GraphEvent.package_added(entry("aaa-two", code=_FRONT)),
+            GraphEvent.package_removed(beta.package),
+        ],
+        [GraphEvent.package_detected(dataclasses.replace(alpha, release_day=20))],
+        [
+            GraphEvent.package_removed(twin.package),
+            GraphEvent.package_added(beta),
+        ],
+    ]
+
+
+@pytest.mark.parametrize("batches", [2, 3])
+def test_patch_chain_matches_a_cold_build(monkeypatch, batches):
+    """Several batches applied before one read are patched as one chain."""
+    malgraph, alpha, twin, beta = _delta_world()
+    before = malgraph.query_indexes()
+    for events in _chain_batches(alpha, twin, beta)[:batches]:
+        malgraph.apply_delta(events, in_place=True)
+
+    _no_full_derivation(monkeypatch)
+    after = malgraph.query_indexes()
+    monkeypatch.undo()
+
+    assert after is not before
+    _assert_same_indexes(after, build_indexes(malgraph.graph, malgraph))
 
 
 def test_stale_index_reads_after_apply_delta_are_impossible():

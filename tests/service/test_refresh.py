@@ -372,9 +372,21 @@ _LATER = ["golf-pkg", "hotel", "india-lib", "juliet", "kilo-tool"]
 _ALIASES = ["EarlyBird", "earlybird", "Comeback"]
 
 _step = st.tuples(
-    st.sampled_from(["add", "detect", "remove", "readd", "report", "neighbour"]),
+    st.sampled_from(
+        ["add", "detect", "remove", "readd", "report", "neighbour", "twin", "redate"]
+    ),
     st.integers(min_value=0, max_value=50),
 )
+
+#: the GraphIndexes fields a refreshed snapshot must share with a cold build
+_INDEX_FIELDS = ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
+                 "group_members", "groups_of")
+
+
+def _assert_index_matches_cold_build(index: IntelIndex, malgraph: MalGraph):
+    cold = build_indexes(malgraph.graph, malgraph)
+    for field in _INDEX_FIELDS:
+        assert getattr(index.indexes, field) == getattr(cold, field), field
 
 
 class _Script:
@@ -432,6 +444,28 @@ class _Script:
                 held = self._fresh(name, pid.ecosystem)
                 self._serve(held)
                 return GraphEvent.package_added(held)
+        if kind == "twin" and live:
+            # a new name carrying a live package's code: creates or grows
+            # its DG/SG groups and shifts the ids ranked behind them; the
+            # name sorts first or last, so a later redate can move the
+            # group past another of its size
+            pid = live[pick % len(live)]
+            self.serial += 1
+            code = self.live[pid].artifact.files["pkg/main.py"]
+            name = f"{'az'[pick % 2]}-twin-{self.serial}"
+            held = entry(name, ecosystem=pid.ecosystem, code=code)
+            self._serve(held)
+            return GraphEvent.package_added(held)
+        if kind == "redate" and live:
+            # same artifact, an earlier or later release day: changes
+            # which member leads the package's groups, and so their rank,
+            # without changing their members
+            pid = live[pick % len(live)]
+            held = self.live[pid]
+            shift = (1 + pick % 7) * (1 if pick % 2 else -1)
+            held = dataclasses.replace(held, release_day=held.release_day + shift)
+            self._serve(held)
+            return GraphEvent.package_detected(held)
         return None
 
 
@@ -448,6 +482,7 @@ def test_every_generation_answers_like_a_cold_build(batches):
         if not events:
             continue
         refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+        _assert_index_matches_cold_build(service.index, malgraph)
         cold = EnrichmentEngine(IntelIndex.build(malgraph))
         seen = script.seen.values()
         assert _answers(service.engine, seen) == _answers(cold, seen)
@@ -533,10 +568,7 @@ def test_refreshed_index_matches_the_graph_oracle(small_dataset):
     index = service.index
     assert index.dataset is malgraph.dataset
     # the snapshot patched batch by batch equals a cold index build
-    cold = build_indexes(malgraph.graph, malgraph)
-    for field in ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
-                  "group_members", "groups_of"):
-        assert getattr(index.indexes, field) == getattr(cold, field), field
+    _assert_index_matches_cold_build(index, malgraph)
     families = _oracle_groups(malgraph, FAMILY_KINDS)
     campaigns = _oracle_groups(malgraph, CAMPAIGN_KINDS)
     graph = malgraph.graph
