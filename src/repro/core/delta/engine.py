@@ -14,8 +14,8 @@ The engine touches only what the batch touches:
 * **duplicated** cliques are re-derived per affected SHA256 from a
   maintained sha -> available-packages index;
 * **dependency** edges are diffed per affected package against the
-  desired set (outgoing resolved via the dataset name index, incoming
-  via a maintained reverse-dependents index);
+  desired set (outgoing resolved via a maintained (ecosystem, name) ->
+  packages index, incoming via a maintained reverse-dependents index);
 * **similar** cliques come from the :class:`IncrementalSimilarStage`
   (cached embeddings + cached cosine components) and are diffed as
   member sets against the live cliques;
@@ -24,7 +24,9 @@ The engine touches only what the batch touches:
 
 Group memberships (DG/DeG/SG/CG) roll forward through per-edge-type
 :class:`EpochUnionFind` trackers fed with the batch's removal
-touchpoints and added links, advancing one epoch per batch.
+touchpoints and added links, advancing one epoch per batch. The
+facade's duplicated / dependency / co-existing lists need no upkeep:
+:class:`MalGraph` derives them from its dataset when they are read.
 """
 
 from __future__ import annotations
@@ -49,8 +51,6 @@ from repro.core.delta.unionfind import EpochUnionFind
 from repro.core.edges import (
     SimilarBuildResult,
     coexisting_group_of_report,
-    dependency_pairs_of,
-    duplicated_groups_of,
     node_attrs,
     node_id,
 )
@@ -81,9 +81,7 @@ class DeltaState:
         dependents: Dict[DepKey, Set[PackageId]],
         mentions: Dict[PackageId, Set[str]],
         reports_by_id: Dict[str, CollectedReport],
-        name_index: Dict[DepKey, List[DatasetEntry]],
-        dep_pairs: Dict[PackageId, List[Tuple[DatasetEntry, DatasetEntry]]],
-        coexisting_members: Dict[str, List[DatasetEntry]],
+        name_index: Dict[DepKey, Set[PackageId]],
     ) -> None:
         self.similar_stage = similar_stage
         self.trackers = trackers
@@ -94,12 +92,8 @@ class DeltaState:
         self.dependents = dependents
         self.mentions = mentions
         self.reports_by_id = reports_by_id
-        #: mirrors ``dataset.name_index()`` (same bucket order) across deltas
+        #: (ecosystem, name) -> the packages carrying that name
         self.name_index = name_index
-        #: per-dependant slice of ``dependency_pairs_of`` (cold pair order)
-        self.dep_pairs = dep_pairs
-        #: report id -> qualifying co-existing group (current entry objects)
-        self.coexisting_members = coexisting_members
 
     # ------------------------------------------------------------------
     @classmethod
@@ -128,12 +122,10 @@ class DeltaState:
         for index, members in graph.live_cliques(EdgeType.COEXISTING):
             pool.setdefault(members, []).append(index)
         report_clique: Dict[str, int] = {}
-        coexisting_members: Dict[str, List[DatasetEntry]] = {}
         for report in dataset.reports:
             group = coexisting_group_of_report(dataset, report)
             if group is None:
                 continue
-            coexisting_members[report.report_id] = group
             members = frozenset(node_id(m.package) for m in group)
             held = pool.get(members)
             if not held:
@@ -146,6 +138,9 @@ class DeltaState:
         for entry in dataset.available_entries():
             for key in _dependent_keys(entry):
                 dependents.setdefault(key, set()).add(entry.package)
+        name_index: Dict[DepKey, Set[PackageId]] = {}
+        for pid in dataset.package_keys():
+            name_index.setdefault((pid.ecosystem, pid.name), set()).add(pid)
 
         mentions: Dict[PackageId, Set[str]] = {}
         reports_by_id: Dict[str, CollectedReport] = {}
@@ -160,10 +155,6 @@ class DeltaState:
         for edge_type, tracker in trackers.items():
             tracker.seed(graph.connected_components([edge_type]))
 
-        dep_pairs: Dict[PackageId, List[Tuple[DatasetEntry, DatasetEntry]]] = {}
-        for pair in dependency_pairs_of(dataset):
-            dep_pairs.setdefault(pair[0].package, []).append(pair)
-
         return cls(
             similar_stage=IncrementalSimilarStage(config),
             trackers=trackers,
@@ -174,9 +165,7 @@ class DeltaState:
             dependents=dependents,
             mentions=mentions,
             reports_by_id=reports_by_id,
-            name_index=dataset.name_index(),
-            dep_pairs=dep_pairs,
-            coexisting_members=coexisting_members,
+            name_index=name_index,
         )
 
     def fork(self) -> "DeltaState":
@@ -193,16 +182,7 @@ class DeltaState:
             dependents={key: set(pids) for key, pids in self.dependents.items()},
             mentions={pid: set(rids) for pid, rids in self.mentions.items()},
             reports_by_id=dict(self.reports_by_id),
-            name_index={
-                key: list(bucket) for key, bucket in self.name_index.items()
-            },
-            dep_pairs={
-                pid: list(pairs) for pid, pairs in self.dep_pairs.items()
-            },
-            coexisting_members={
-                rid: list(group)
-                for rid, group in self.coexisting_members.items()
-            },
+            name_index={key: set(pids) for key, pids in self.name_index.items()},
         )
 
 
@@ -325,20 +305,9 @@ def apply_delta(
     # -- net dataset diff (event-derived: O(batch), not O(corpus)) ----------
     base_dataset = target.dataset
     touched_pids: Dict[PackageId, None] = {}  # insertion-ordered
-    vacated: Set[PackageId] = set()  # lost their base list position
-    appended: Dict[PackageId, None] = {}  # net-appended, in final order
     for event in events:
-        if event.kind is EventKind.REPORT_INGESTED:
-            continue
-        pid = event.package_id()
-        touched_pids.setdefault(pid, None)
-        if event.kind is EventKind.PACKAGE_ADDED:
-            appended[pid] = None
-        elif event.kind is EventKind.PACKAGE_REMOVED:
-            if pid in appended:
-                del appended[pid]
-            else:
-                vacated.add(pid)
+        if event.kind is not EventKind.REPORT_INGESTED:
+            touched_pids.setdefault(event.package_id(), None)
     added: List[DatasetEntry] = []
     removed: List[DatasetEntry] = []
     changed: List[Tuple[DatasetEntry, DatasetEntry]] = []
@@ -409,42 +378,24 @@ def apply_delta(
 
     # -- dependency ---------------------------------------------------------
     for entry in removed:
+        pid = entry.package
+        state.name_index[(pid.ecosystem, pid.name)].discard(pid)
         for key in _dependent_keys(entry):
-            state.dependents.get(key, set()).discard(entry.package)
+            state.dependents.get(key, set()).discard(pid)
     for old, new in changed:
         for key in _dependent_keys(old):
             state.dependents.get(key, set()).discard(old.package)
         for key in _dependent_keys(new):
             state.dependents.setdefault(key, set()).add(new.package)
     for entry in added:
+        pid = entry.package
+        state.name_index.setdefault((pid.ecosystem, pid.name), set()).add(pid)
         for key in _dependent_keys(entry):
-            state.dependents.setdefault(key, set()).add(entry.package)
+            state.dependents.setdefault(key, set()).add(pid)
 
-    # the maintained (ecosystem, name) index mirrors evolved.name_index():
-    # only touched buckets are rebuilt — survivors keep their positions
-    # (refreshed to the final entry objects), packages that lost their
-    # base list position drop out, net-appended packages go to the back
-    # in event order, exactly like the reference dataset semantics
-    for key in {(pid.ecosystem, pid.name) for pid in touched_pids}:
-        rebuilt = [
-            evolved.get(held.package)
-            for held in state.name_index.get(key, ())
-            if held.package not in vacated
-        ]
-        rebuilt.extend(
-            evolved.get(pid)
-            for pid in appended
-            if (pid.ecosystem, pid.name) == key
-        )
-        if rebuilt:
-            state.name_index[key] = rebuilt
-        else:
-            state.name_index.pop(key, None)
-    name_index = state.name_index
-    dep_affected = added + [new for _, new in changed]
-    for entry in dep_affected:
+    for entry in added + [new for _, new in changed]:
         nid = node_id(entry.package)
-        desired = _desired_dependency(entry, name_index, state.dependents)
+        desired = _desired_dependency(entry, state.name_index, state.dependents)
         current = graph.neighbors(nid, EdgeType.DEPENDENCY)
         for other in sorted(current - desired):
             graph.remove_edge(nid, other, EdgeType.DEPENDENCY)
@@ -454,24 +405,6 @@ def apply_delta(
             graph.add_edge(nid, other, EdgeType.DEPENDENCY)
             links[EdgeType.DEPENDENCY].append((nid, other))
             report.edges_added += 1
-
-    # facade pair slices: recompute every dependant whose outgoing list
-    # could have changed — the touched entries themselves plus every
-    # dependant of a touched package's name (its targets changed object
-    # or membership)
-    for entry in removed:
-        state.dep_pairs.pop(entry.package, None)
-    recompute_pids: Set[PackageId] = {e.package for e in dep_affected}
-    for pid in touched_pids:
-        recompute_pids |= state.dependents.get((pid.ecosystem, pid.name), set())
-    recompute_pids -= {e.package for e in removed}
-    for pid in recompute_pids:
-        holder = evolved.get(pid)
-        pairs = _outgoing_pairs(holder, name_index) if holder is not None else []
-        if pairs:
-            state.dep_pairs[pid] = pairs
-        else:
-            state.dep_pairs.pop(pid, None)
 
     # -- similar ------------------------------------------------------------
     entries_sim = [
@@ -506,17 +439,6 @@ def apply_delta(
     )
 
     # -- co-existing --------------------------------------------------------
-    # a detected package keeps its report memberships but replaces its
-    # entry object; refresh it inside every group that holds it
-    for old, new in changed:
-        for rid in state.mentions.get(new.package, ()):
-            group = state.coexisting_members.get(rid)
-            if group is None:
-                continue
-            for i, held in enumerate(group):
-                if held is old:
-                    group[i] = new
-                    break
     affected_rids: Set[str] = set()
     for entry in added:
         affected_rids |= state.mentions.get(entry.package, set())
@@ -524,10 +446,6 @@ def apply_delta(
         affected_rids |= state.mentions.get(entry.package, set())
     for rid in sorted(affected_rids):
         group = coexisting_group_of_report(evolved, state.reports_by_id[rid])
-        if group is not None:
-            state.coexisting_members[rid] = group
-        else:
-            state.coexisting_members.pop(rid, None)
         desired = (
             frozenset(node_id(m.package) for m in group)
             if group is not None
@@ -549,7 +467,6 @@ def apply_delta(
             state.mentions.setdefault(pid, set()).add(rep.report_id)
         group = coexisting_group_of_report(evolved, rep)
         if group is not None:
-            state.coexisting_members[rep.report_id] = group
             members = frozenset(node_id(m.package) for m in group)
             index = graph.add_clique(sorted(members), EdgeType.COEXISTING)
             state.report_clique[rep.report_id] = index
@@ -579,22 +496,6 @@ def apply_delta(
             edge_type
         ].component_count
 
-    # -- facade list fields (cold iteration order) --------------------------
-    # duplicated groups stay one linear sweep over memoised hashes: their
-    # first-occurrence order can shift arbitrarily when a group's earliest
-    # member vacates its slot. The dependency and co-existing lists
-    # reassemble from the surgically maintained per-owner slices.
-    target.duplicated_groups = duplicated_groups_of(evolved)
-    target.dependency_edges = [
-        pair
-        for entry in evolved.entries
-        for pair in state.dep_pairs.get(entry.package, ())
-    ]
-    target.coexisting_groups = [
-        state.coexisting_members[rep.report_id]
-        for rep in evolved.reports
-        if rep.report_id in state.coexisting_members
-    ]
     target._group_cache = {}
 
     # even a batch with no structural graph change (e.g. a DETECTED event
@@ -648,9 +549,6 @@ def _fork(base: MalGraph) -> MalGraph:
             reports=list(base.dataset.reports),
         ),
         similar=base.similar,
-        duplicated_groups=list(base.duplicated_groups),
-        dependency_edges=list(base.dependency_edges),
-        coexisting_groups=list(base.coexisting_groups),
         similarity_config=base.similarity_config,
         delta_epoch=base.delta_epoch,
         last_delta_at=base.last_delta_at,
@@ -660,26 +558,9 @@ def _fork(base: MalGraph) -> MalGraph:
     return dup
 
 
-def _outgoing_pairs(
-    entry: DatasetEntry, name_index: Dict[DepKey, List[DatasetEntry]]
-) -> List[Tuple[DatasetEntry, DatasetEntry]]:
-    """One entry's (dependant, dependency) pairs in cold builder order
-    (mirrors the per-entry body of
-    :func:`repro.core.edges.dependency_pairs_of`)."""
-    if not entry.available:
-        return []
-    pairs: List[Tuple[DatasetEntry, DatasetEntry]] = []
-    ecosystem = entry.package.ecosystem
-    for dep_name in entry.artifact.metadata.dependencies:
-        for dep_target in name_index.get((ecosystem, dep_name), ()):
-            if dep_target.package != entry.package:
-                pairs.append((entry, dep_target))
-    return pairs
-
-
 def _desired_dependency(
     entry: DatasetEntry,
-    name_index: Dict[DepKey, List[DatasetEntry]],
+    name_index: Dict[DepKey, Set[PackageId]],
     dependents: Dict[DepKey, Set[PackageId]],
 ) -> Set[str]:
     """The node's desired dependency neighbourhood in the final graph."""
@@ -687,9 +568,9 @@ def _desired_dependency(
     ecosystem = entry.package.ecosystem
     if entry.available:
         for dep_name in entry.artifact.metadata.dependencies:
-            for dep_target in name_index.get((ecosystem, dep_name), ()):
-                if dep_target.package != entry.package:
-                    desired.add(node_id(dep_target.package))
+            for pid in name_index.get((ecosystem, dep_name), ()):
+                if pid != entry.package:
+                    desired.add(node_id(pid))
     for pid in dependents.get((ecosystem, entry.package.name), ()):
         if pid != entry.package:
             desired.add(node_id(pid))

@@ -54,8 +54,8 @@ def _columnar_of(dataset: MalwareDataset):
 def duplicated_groups_of(dataset: MalwareDataset) -> List[List[DatasetEntry]]:
     """Signature groups (>= 2 sharers) in first-occurrence order.
 
-    Pure — no graph involved; shared by the cold builder below and the
-    delta engine's list rebuild. Columnar corpora group by pooled
+    Pure — no graph involved; shared by the cold builder below and
+    ``MalGraph.duplicated_groups``. Columnar corpora group by pooled
     signature ids without hydrating non-members.
     """
     col = _columnar_of(dataset)
@@ -99,10 +99,10 @@ def dependency_pairs_of(
 ) -> List[Tuple[DatasetEntry, DatasetEntry]]:
     """Directed (dependant, dependency) pairs between dataset packages.
 
-    Pure — the cold builder adds the graph edges on top, the delta
-    engine rebuilds ``MalGraph.dependency_edges`` from it. Columnar
-    corpora resolve the (ecosystem, name) join with two binary searches
-    instead of a dict-of-lists over hydrated entries.
+    Pure — the cold builder adds the graph edges on top, and
+    ``MalGraph.dependency_edges`` is this list. Columnar corpora resolve
+    the (ecosystem, name) join with two binary searches instead of a
+    dict-of-lists over hydrated entries.
     """
     col = _columnar_of(dataset)
     if col is not None:
@@ -201,9 +201,10 @@ def coexisting_group_of_report(
 
 
 def coexisting_groups_of(dataset: MalwareDataset) -> List[List[DatasetEntry]]:
-    """Qualifying report groups in report order (pure). Columnar corpora
-    resolve every report mention in one vectorised join, hydrating only
-    the member entries."""
+    """Qualifying report groups in report order (pure; what
+    ``MalGraph.coexisting_groups`` reads). Columnar corpora resolve every
+    report mention in one vectorised join, hydrating only the member
+    entries."""
     col = _columnar_of(dataset)
     if col is not None:
         from repro.core.columnar.edges import coexisting_row_groups

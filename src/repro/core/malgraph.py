@@ -2,7 +2,8 @@
 
 This is the paper's primary contribution, assembled: nodes from the
 collected dataset, all four edge types, Table II statistics and group
-extraction, behind one class.
+extraction, behind one class. The duplicated, dependency and
+co-existing lists are views of the dataset, derived when read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.delta.events import GraphEvent
     from repro.core.query.indexes import GraphIndexes
 
-from repro.collection.records import MalwareDataset
+from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.edges import (
     SimilarBuildResult,
     add_dataset_nodes,
@@ -25,6 +26,9 @@ from repro.core.edges import (
     build_dependency_edges,
     build_duplicated_edges,
     build_similar_edges,
+    coexisting_groups_of,
+    dependency_pairs_of,
+    duplicated_groups_of,
 )
 from repro.core.graph import EdgeType, GraphStats, PropertyGraph
 from repro.core.groups import (
@@ -43,9 +47,6 @@ class MalGraph:
     graph: PropertyGraph
     dataset: MalwareDataset
     similar: SimilarBuildResult
-    duplicated_groups: List[List] = field(default_factory=list)
-    dependency_edges: List = field(default_factory=list)
-    coexisting_groups: List[List] = field(default_factory=list)
     _group_cache: Dict[GroupKind, List[PackageGroup]] = field(
         default_factory=dict, repr=False
     )
@@ -85,19 +86,32 @@ class MalGraph:
         similarity = similarity if similarity is not None else SimilarityConfig()
         graph = PropertyGraph()
         add_dataset_nodes(graph, dataset)
-        duplicated = build_duplicated_edges(graph, dataset)
-        dependency = build_dependency_edges(graph, dataset)
+        build_duplicated_edges(graph, dataset)
+        build_dependency_edges(graph, dataset)
         similar = build_similar_edges(graph, dataset, similarity, store=store)
-        coexisting = build_coexisting_edges(graph, dataset)
+        build_coexisting_edges(graph, dataset)
         return cls(
             graph=graph,
             dataset=dataset,
             similar=similar,
-            duplicated_groups=duplicated,
-            dependency_edges=dependency,
-            coexisting_groups=coexisting,
             similarity_config=similarity,
         )
+
+    # -- the dataset's relationship lists (derived on every read) --------
+    @property
+    def duplicated_groups(self) -> List[List[DatasetEntry]]:
+        """Signature groups of :attr:`dataset` in first-occurrence order."""
+        return duplicated_groups_of(self.dataset)
+
+    @property
+    def dependency_edges(self) -> List[Tuple[DatasetEntry, DatasetEntry]]:
+        """(dependant, dependency) pairs of :attr:`dataset`."""
+        return dependency_pairs_of(self.dataset)
+
+    @property
+    def coexisting_groups(self) -> List[List[DatasetEntry]]:
+        """Qualifying report groups of :attr:`dataset` in report order."""
+        return coexisting_groups_of(self.dataset)
 
     # ------------------------------------------------------------------
     def apply_delta(

@@ -7,8 +7,8 @@ structures directly: a :class:`GraphIndexes` snapshot materialises
   (``into``) and undirected (``any_dir``) sorted neighbour tuples, with
   cliques expanded.  The symmetric relations (duplicated / similar /
   co-existing) share one map for all three directions; dependency gets
-  true directed maps when built over a :class:`MalGraph` (the edge
-  builders record who depends on whom);
+  true directed maps when built over a :class:`MalGraph` (each linked
+  node's declared dependencies say who depends on whom);
 * **node-attribute maps** — every node's merged attributes (the graph's
   seven plus, over a ``MalGraph``, the dataset's ground-truth
   ``campaign`` / ``actor`` / ``family`` / ``archetype`` / ``downloads``
@@ -35,10 +35,10 @@ neighbour tuples and attribute buckets, and O(touched groups) to
 re-rank the DG/DeG/SG/CG groups. Group ids are positional, so every
 group whose id shifts is rewritten: that part is O(renumbered groups).
 The shallow copies of the top-level tables (``attrs``, each ``any_dir``
-map, ``groups_of``) and the directed dependency maps stay O(N). Any
-version gap the journal cannot bridge (direct graph mutation, journal
-trimmed) falls back to a full rebuild, so a stale read is impossible
-either way.
+map, ``groups_of``) stay O(N), and the directed dependency maps take
+one pass over the dependency-linked nodes. Any version gap the journal
+cannot bridge (direct graph mutation, journal trimmed) falls back to a
+full rebuild, so a stale read is impossible either way.
 """
 
 from __future__ import annotations
@@ -151,21 +151,34 @@ def _adjacency(graph: PropertyGraph) -> Dict[EdgeType, Dict[str, Tuple[str, ...]
 
 
 def _directed_dependency(
-    malgraph,
+    linked: Dict[str, Tuple[str, ...]],
+    attrs: Dict[str, Dict[str, Any]],
+    dataset,
 ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
-    """(out, into) dependency maps from the edge builder's directed pairs."""
-    from repro.core.edges import node_id
+    """(out, into) dependency maps from the undirected ``linked`` tuples.
 
-    forward: Dict[str, set] = {}
-    backward: Dict[str, set] = {}
-    for entry, target in malgraph.dependency_edges:
-        u, v = node_id(entry.package), node_id(target.package)
-        forward.setdefault(u, set()).add(v)
-        backward.setdefault(v, set()).add(u)
-    return (
-        {node: tuple(sorted(found)) for node, found in forward.items()},
-        {node: tuple(sorted(found)) for node, found in backward.items()},
-    )
+    A linked pair ``u -> v`` iff ``u`` holds an artifact that declares
+    ``v``'s name: exactly the pairs the dependency edge builder links
+    (both ends always share an ecosystem).
+    """
+    from repro.ecosystem.package import PackageId
+
+    forward: Dict[str, Tuple[str, ...]] = {}
+    backward: Dict[str, List[str]] = {}
+    for u, neighbours in linked.items():
+        held = attrs[u]
+        entry = dataset.get(
+            PackageId(held["ecosystem"], held["name"], held["version"])
+        )
+        if entry is None or not entry.available:
+            continue
+        declared = set(entry.artifact.metadata.dependencies)
+        targets = tuple(v for v in neighbours if attrs[v]["name"] in declared)
+        if targets:
+            forward[u] = targets
+            for v in targets:
+                backward.setdefault(v, []).append(u)
+    return forward, {v: tuple(sorted(found)) for v, found in backward.items()}
 
 
 def build_indexes(
@@ -187,9 +200,9 @@ def build_indexes(
     if malgraph is not None:
         from repro.core.edges import node_id
 
-        dep_out, dep_in = _directed_dependency(malgraph)
-        out[EdgeType.DEPENDENCY] = dep_out
-        into[EdgeType.DEPENDENCY] = dep_in
+        out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
+            any_dir[EdgeType.DEPENDENCY], attrs, malgraph.dataset
+        )
 
         for entry in malgraph.dataset.entries:
             held = attrs.get(node_id(entry.package))
@@ -306,8 +319,9 @@ def apply_index_patches(
       every id that now names different members rewrites its members'
       group attributes, ``groups_of`` entries and id bucket;
     * O(N) shallow copies of the top-level tables (``attrs``, each
-      ``any_dir`` map, ``groups_of``) and, over a ``MalGraph``, a full
-      pass over its dependency pairs for the directed maps.
+      ``any_dir`` map, ``groups_of``) and, over a ``MalGraph``, one pass
+      over the dependency-linked nodes for the directed maps
+      (:func:`_directed_dependency`).
     """
     removed_any: set = set()
     refreshed_any: set = set()
@@ -356,9 +370,9 @@ def apply_index_patches(
     groups_of = held.groups_of
     group_ranks = held.group_ranks
     if malgraph is not None:
-        dep_out, dep_in = _directed_dependency(malgraph)
-        out[EdgeType.DEPENDENCY] = dep_out
-        into[EdgeType.DEPENDENCY] = dep_in
+        out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
+            any_dir[EdgeType.DEPENDENCY], attrs, malgraph.dataset
+        )
         group_members, groups_of, group_ranks = _rerank_groups(
             held,
             attrs,

@@ -1,12 +1,14 @@
 """Save / load a built MALGRAPH.
 
 The graph itself (nodes, pairwise edges, cliques) serialises through
-:meth:`repro.core.graph.PropertyGraph.to_dict`; the group structures the
-:class:`~repro.core.malgraph.MalGraph` facade carries alongside it are
-stored as node-id lists and re-linked against the owning dataset's
-entries on load. Deserialisation therefore needs the *same* collected
-dataset the graph was built from — the pipeline cache guarantees that by
-addressing both artifacts with one configuration fingerprint.
+:meth:`repro.core.graph.PropertyGraph.to_dict`; the similarity result
+the :class:`~repro.core.malgraph.MalGraph` facade carries alongside it
+is stored as node-id lists and re-linked against the owning dataset's
+entries on load. The duplicated, dependency and co-existing lists are
+written too, but a loaded graph derives them from its dataset.
+Deserialisation therefore needs the *same* collected dataset the graph
+was built from — the pipeline cache guarantees that by addressing both
+artifacts with one configuration fingerprint.
 """
 
 from __future__ import annotations
@@ -103,16 +105,6 @@ def malgraph_from_dict(raw: dict, dataset: MalwareDataset) -> MalGraph:
         graph=PropertyGraph.from_dict(raw["graph"]),
         dataset=dataset,
         similar=similar,
-        duplicated_groups=[
-            entries_of(group) for group in raw.get("duplicated_groups", [])
-        ],
-        dependency_edges=[
-            (entry_of(u), entry_of(v))
-            for u, v in raw.get("dependency_edges", [])
-        ],
-        coexisting_groups=[
-            entries_of(group) for group in raw.get("coexisting_groups", [])
-        ],
     )
 
 

@@ -280,6 +280,7 @@ class PipelineRuntime:
         if self.store.has_disk(STAGE_DELTA, fp):
             held = self.store.get_disk(STAGE_DELTA, fp, codec)
             if held is not None:
+                held.similarity_config = self.similarity
                 self.store.put_memory(STAGE_DELTA, fp, held)
                 self._set_head(fp, held)
                 self.report.record(
@@ -446,6 +447,9 @@ class PipelineRuntime:
                 STAGE_MALGRAPH, fp, MalGraphCodec(dataset)
             )
             if malgraph is not None:
+                # the disk format holds no SimilarityConfig; later deltas
+                # must cluster with the one the graph was built with
+                malgraph.similarity_config = self.similarity
                 self.store.put_memory(STAGE_MALGRAPH, fp, malgraph)
                 self._record(STAGE_MALGRAPH, STATUS_HIT, SOURCE_DISK, started)
                 return malgraph

@@ -155,9 +155,6 @@ def test_groups_memoisation_is_single_flight(malgraph, monkeypatch):
         graph=malgraph.graph,
         dataset=malgraph.dataset,
         similar=malgraph.similar,
-        duplicated_groups=malgraph.duplicated_groups,
-        dependency_edges=malgraph.dependency_edges,
-        coexisting_groups=malgraph.coexisting_groups,
     )
     calls = []
     real_extract = malgraph_module.extract_groups

@@ -11,6 +11,7 @@ from repro.core.graph import EdgeType, PropertyGraph
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
 from repro.core.query import build_indexes, graph_indexes
+from repro.ecosystem.package import PackageId
 
 
 @pytest.fixture()
@@ -99,6 +100,79 @@ def test_directed_dependency_maps(malgraph):
     # the undirected view still sees the pair both ways
     assert v in indexes.neighbors(u, (EdgeType.DEPENDENCY,), "any")
     assert u in indexes.neighbors(v, (EdgeType.DEPENDENCY,), "any")
+    _assert_dependency_direction(malgraph)
+
+
+def _assert_dependency_direction(malgraph):
+    """The DEPENDENCY ``out``/``into`` maps against a reference built
+    from the dataset's own dependency pairs."""
+    from repro.core.edges import dependency_pairs_of
+
+    out, into = {}, {}
+    for entry, target in dependency_pairs_of(malgraph.dataset):
+        u, v = node_id(entry.package), node_id(target.package)
+        out.setdefault(u, set()).add(v)
+        into.setdefault(v, set()).add(u)
+    indexes = malgraph.query_indexes()
+    assert indexes.out[EdgeType.DEPENDENCY] == {
+        node: tuple(sorted(found)) for node, found in out.items()
+    }
+    assert indexes.into[EdgeType.DEPENDENCY] == {
+        node: tuple(sorted(found)) for node, found in into.items()
+    }
+
+
+def test_directed_dependency_maps_follow_a_delta_chain(monkeypatch):
+    """Cold and after every batch: a mutual pair that becomes one-way
+    (the undirected link stays, one direction goes), a depended-on name
+    with several versions, an artifact-less dependant that a detection
+    gives its artifact, and a removed dependant."""
+    from repro.core.delta import GraphEvent
+
+    from tests.core.helpers import dataset, entry
+
+    def pkg(name, version="1.0", **kwargs):
+        code = f"def f():\n    return {name!r}, {version!r}\n"
+        return entry(name, version=version, code=code, **kwargs)
+
+    ds = dataset([
+        pkg("ma", dependencies=("mb",)),
+        pkg("mb", dependencies=("ma",)),
+        pkg("lib"),
+        pkg("lib", version="2.0"),
+        pkg("user", dependencies=("lib",)),
+        entry("late", code=None),
+    ])
+    malgraph = MalGraph.build(ds)
+    _assert_dependency_direction(malgraph)
+    batches = [
+        [
+            GraphEvent.package_detected(pkg("late", dependencies=("lib", "ma"))),
+            GraphEvent.package_added(pkg("lib", version="3.0")),
+        ],
+        [GraphEvent.package_removed(PackageId("pypi", "user", "1.0"))],
+        [
+            GraphEvent.package_detected(pkg("mb")),
+            GraphEvent.package_removed(PackageId("pypi", "lib", "1.0")),
+        ],
+    ]
+    for events in batches:
+        malgraph.apply_delta(events, in_place=True)
+        # each check reads the snapshot the batch's patch derived
+        _no_full_derivation(monkeypatch)
+        _assert_dependency_direction(malgraph)
+        monkeypatch.undo()
+    indexes = malgraph.query_indexes()
+    # mb no longer declares ma: the link stays, only ma -> mb remains
+    assert indexes.neighbors("pypi:mb@1.0", (EdgeType.DEPENDENCY,)) == [
+        "pypi:ma@1.0"
+    ]
+    assert indexes.neighbors("pypi:mb@1.0", (EdgeType.DEPENDENCY,), "out") == []
+    assert indexes.neighbors("pypi:late@1.0", (EdgeType.DEPENDENCY,), "out") == [
+        "pypi:lib@2.0",
+        "pypi:lib@3.0",
+        "pypi:ma@1.0",
+    ]
 
 
 def test_dataset_attrs_are_indexed(malgraph):

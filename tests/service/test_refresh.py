@@ -214,6 +214,77 @@ def test_refresh_publishes_a_new_snapshot_and_leaves_the_old_intact():
     assert after.index.package_count == 2
 
 
+def _refuse_list_derivations(monkeypatch):
+    """Make every module's binding of MALGRAPH's three list derivations
+    raise, so a caller that derives a list fails the test."""
+    import sys
+
+    from repro.core import edges
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the refresh path derived a MALGRAPH list")
+
+    for name in (
+        "duplicated_groups_of",
+        "dependency_pairs_of",
+        "coexisting_groups_of",
+    ):
+        original = getattr(edges, name)
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get(name) is original:
+                monkeypatch.setattr(module, name, refuse)
+
+
+def _list_world():
+    """Every list non-empty: a DG pair, a dependency and a report."""
+    shared = "def payload():\n    return 'pair'\n"
+    alpha = entry("list-alpha", code=shared)
+    twin = entry("list-twin", code=shared)
+    beta = entry("list-beta", code="def b():\n    return 2\n",
+                 dependencies=("list-alpha",))
+    ds = dataset([alpha, twin, beta], [report("r-0", [alpha.package, beta.package])])
+    late = entry("list-late", code=shared, dependencies=("list-beta",))
+    events = [
+        GraphEvent.package_added(late),
+        GraphEvent.package_removed(twin.package),
+        GraphEvent.report_ingested(report("r-1", [late.package, beta.package])),
+    ]
+    return ds, events, late
+
+
+def test_refresh_derives_none_of_the_relationship_lists(monkeypatch):
+    ds, events, late = _list_world()
+    service, malgraph = _service(ds)
+    before = service.generation
+    _refuse_list_derivations(monkeypatch)
+    served, delta = refresh_from_events(
+        service.index, events, service=service, malgraph=malgraph
+    )
+    assert service.generation == before + 1
+    assert delta.packages_added == 1 and delta.packages_removed == 1
+    assert served.get(late.package) is not None
+    assert service.enrich(Indicator(name="list-late")).verdict == VERDICT_MALICIOUS
+    assert service.index.families_of(late.package)
+
+
+def test_delta_evolved_bundle_round_trips_exactly(tmp_path):
+    from repro.io.malgraphs import (
+        load_malgraph_bundle,
+        malgraph_to_dict,
+        save_malgraph_bundle,
+    )
+
+    ds, events, _ = _list_world()
+    evolved, _ = MalGraph.build(ds).apply_delta(events)
+    written = malgraph_to_dict(evolved)
+    assert all(
+        written[key]
+        for key in ("duplicated_groups", "dependency_edges", "coexisting_groups")
+    )
+    save_malgraph_bundle(evolved, tmp_path)
+    assert malgraph_to_dict(load_malgraph_bundle(tmp_path)) == written
+
+
 def test_concurrent_refreshes_compose_not_clobber():
     malgraph = MalGraph.build(dataset([entry("old-pkg")]))
     service = build_service(malgraph)
