@@ -35,13 +35,16 @@ Two surfaces:
      packages published together by one delta-engine batch are always
      both visible or both absent, to batch enrichment and to 1-hop
      ``/v1/query`` alike, while every read also asks for a package whose
-     neighbours each batch rewrites; no read may raise, and the cache
-     and request books stay exact.
+     neighbours each batch rewrites; each reader sends its queries over
+     one persistent connection that stays open while generations are
+     published; no read may raise, and the cache and request books stay
+     exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import http.client
 import itertools
 import json
 import sys
@@ -359,8 +362,10 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
             stop.set()
 
     def reader(worker: int) -> None:
+        conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
             rounds = 0
+            opened = None
             while not stop.is_set() and rounds < 5000:
                 left, right = pair((worker + rounds) % len(letters))
                 got = service.batch_enrich(
@@ -372,18 +377,25 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
                     f"{right}={got[1].verdict}"
                 )
                 assert verdicts[2], f"corpus-0 read {got[2].verdict}"
-                request = urllib.request.Request(
-                    f"http://{host}:{port}/v1/query",
-                    data=json.dumps(
+                conn.request(
+                    "POST",
+                    "/v1/query",
+                    body=json.dumps(
                         {
                             "pattern": f"MATCH (a {{name: '{left}'}})"
                             "-[duplicated]-(b) RETURN b.name"
                         }
-                    ).encode(),
+                    ),
                     headers={"Content-Type": "application/json"},
                 )
-                with urllib.request.urlopen(request, timeout=30) as response:
-                    rows = json.load(response)["rows"]
+                response = conn.getresponse()
+                payload = response.read()
+                assert response.status == 200, (response.status, payload)
+                opened = opened or conn.sock
+                assert conn.sock is not None and conn.sock is opened, (
+                    "the server did not keep the query connection open"
+                )
+                rows = json.loads(payload)["rows"]
                 assert rows in ([], [[right]]), f"torn query: {left} -> {rows}"
                 with books:
                     probes[0] += 3
@@ -391,6 +403,8 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
                 rounds += 1
         except BaseException as failure:  # noqa: BLE001 - gate target
             failures.append(failure)
+        finally:
+            conn.close()
 
     pool = [threading.Thread(target=refresher)] + [
         threading.Thread(target=reader, args=(w,)) for w in range(readers)
@@ -417,8 +431,9 @@ def _refresh_consistency_gate(readers: int, generations: int) -> None:
     assert service.index.package_count == 8 + 2 * len(letters) + 1
     print(
         f"refresh consistency: {probes[0]} probes and {queries[0]} 1-hop "
-        f"queries across {len(letters)} generations, 0 torn reads, "
-        f"0 failed reads, books exact  OK"
+        f"queries on {readers} persistent connections across "
+        f"{len(letters)} generations, 0 torn reads, 0 failed reads, "
+        f"books exact  OK"
     )
 
 

@@ -129,9 +129,20 @@ limiter is configured, `GET /v1/metrics` grows a top-level
 
 ### Request framing
 
+* Connections are persistent (HTTP/1.1): a client may send request
+  after request, pipelined or not, on one socket, and the server keeps
+  it open until the client closes it, sends `Connection: close` or
+  speaks HTTP/1.0, or leaves it idle for 30 seconds. A reply carries
+  `Connection: close`, and the server then closes the socket, when the
+  request declared a body (a `Content-Length` other than 0, or any
+  `Transfer-Encoding`) that was not read in full: those bytes are never
+  parsed as a next request. `Expect: 100-continue` gets `100 Continue`
+  only when the declared length is accepted; otherwise the `400` or
+  `413` comes at once.
 * `Content-Length` is validated before the body is touched: a
   non-numeric header answers a structured `400`, a negative one
-  answers `400` (never a read-to-EOF hang).
+  answers `400` (never a read-to-EOF hang), and conflicting duplicate
+  headers answer `400`.
 * POST bodies are capped (`create_server(max_body_bytes=...)`,
   default 16 MiB): an over-cap `Content-Length` answers `413` before
   a single payload byte is read, and the connection is closed.
@@ -278,9 +289,10 @@ Every error is JSON. Validation failures are `400` with
 `{"error": "<message>"}`; malformed batch items additionally carry the
 offending item's position as `{"error": ..., "index": i}`. Oversized
 batches are `413`. Unexpected server-side failures never drop the
-connection: they return `500` with
+connection without a reply: they return `500` with
 `{"error": "internal server error", "error_id": "<12-hex id>"}` where
-the id correlates with the server's stderr log line.
+the id correlates with the server's stderr log line. A `500` carries
+`Connection: close`, and the server then closes the connection.
 """
 
 

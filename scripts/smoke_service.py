@@ -6,7 +6,9 @@ one single-indicator enrich and one batch enrich over real HTTP, and
 asserts the JSON response schema. It then refreshes the live service
 with one event batch that publishes a copy of a known artifact under a
 new name, and checks over HTTP that the new generation serves it with
-the families a cold index build gives. Exits nonzero on any failure.
+the families a cold index build gives. Every request goes over one
+persistent HTTP/1.1 connection, and the script asserts the server kept
+it open throughout, across the refresh. Exits nonzero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_service.py [--seed N] [--scale F]
 """
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import http.client
 import json
 import sys
 import threading
-import urllib.request
 from urllib.parse import quote
 
 from repro.core.delta import GraphEvent
@@ -46,14 +48,31 @@ RESULT_KEYS = {
 }
 
 
-def fetch(url: str, payload=None):
-    request = urllib.request.Request(
-        url,
-        data=None if payload is None else json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(request, timeout=30) as response:
-        return json.load(response)
+class Client:
+    """One HTTP/1.1 connection; remembers the socket each reply came on."""
+
+    def __init__(self, host: str, port: int):
+        self.conn = http.client.HTTPConnection(host, port, timeout=30)
+        self.sockets = []
+
+    def fetch(self, path: str, payload=None):
+        self.conn.request(
+            "GET" if payload is None else "POST",
+            path,
+            body=None if payload is None else json.dumps(payload),
+            headers={"Content-Type": "application/json"},
+        )
+        response = self.conn.getresponse()
+        body = response.read()
+        assert response.status == 200, (path, response.status, body)
+        self.sockets.append(self.conn.sock)
+        return json.loads(body)
+
+    def reused(self) -> bool:
+        """True when every reply so far came on the first socket."""
+        return self.sockets[0] is not None and all(
+            held is self.sockets[0] for held in self.sockets
+        )
 
 
 def check_result(body: dict, context: str) -> None:
@@ -74,18 +93,21 @@ def main(argv=None) -> int:
     service = build_service(malgraph)
     server = create_server(service, port=0)
     host, port = server_address(server)
-    base = f"http://{host}:{port}"
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    print(f"server up at {base} over {service.index.package_count} packages")
+    print(
+        f"server up at http://{host}:{port} "
+        f"over {service.index.package_count} packages"
+    )
+    client = Client(host, port)
 
     try:
-        health = fetch(f"{base}/v1/healthz")
+        health = client.fetch("/v1/healthz")
         assert health["status"] == "ok", health
         assert health["packages"] == len(dataset), health
 
         known = dataset.entries[0].package
-        single = fetch(
-            f"{base}/v1/enrich?name={quote(known.name)}"
+        single = client.fetch(
+            f"/v1/enrich?name={quote(known.name)}"
             f"&version={quote(known.version)}&ecosystem={known.ecosystem}"
         )
         check_result(single, "single enrich")
@@ -95,8 +117,8 @@ def main(argv=None) -> int:
               f"({len(single['families'])} families, {len(single['sources'])} sources)")
 
         sha = dataset.available_entries()[0].sha256()
-        batch = fetch(
-            f"{base}/v1/enrich/batch",
+        batch = client.fetch(
+            "/v1/enrich/batch",
             {
                 "indicators": [
                     {"name": known.name},
@@ -112,11 +134,11 @@ def main(argv=None) -> int:
         assert verdicts[0] == verdicts[1] == "malicious", verdicts
         print(f"batch of {batch['count']}: verdicts {verdicts}")
 
-        stats = fetch(f"{base}/v1/stats")
+        stats = client.fetch("/v1/stats")
         assert stats["cache"]["size"] > 0, stats
 
         # healthz + enrich + batch + stats == 4 observed requests
-        metrics = fetch(f"{base}/v1/metrics")
+        metrics = client.fetch("/v1/metrics")
         assert metrics["total_requests"] == 4, metrics
         enrich_row = metrics["endpoints"]["/v1/enrich"]
         assert enrich_row["status"] == {"200": 1}, metrics
@@ -140,11 +162,11 @@ def main(argv=None) -> int:
             service=service,
             malgraph=malgraph,
         )
-        health = fetch(f"{base}/v1/healthz")
+        health = client.fetch("/v1/healthz")
         assert health["epoch"] == 1, health
         assert health["packages"] == len(dataset) + 1, health
-        fresh = fetch(
-            f"{base}/v1/enrich?name={published.package.name}"
+        fresh = client.fetch(
+            f"/v1/enrich?name={published.package.name}"
             f"&version={published.package.version}&ecosystem={eco}"
         )
         check_result(fresh, "enrich after refresh")
@@ -153,9 +175,12 @@ def main(argv=None) -> int:
         assert fresh["families"] == cold and cold, (fresh["families"], cold)
         print(f"refresh to epoch {health['epoch']}: {published.package} "
               f"{fresh['verdict']} in {fresh['families']}")
+        assert client.reused(), "the server did not keep the connection open"
+        print(f"{len(client.sockets)} requests over one persistent connection")
         print("smoke OK")
         return 0
     finally:
+        client.conn.close()
         server.shutdown()
         server.server_close()
 

@@ -18,7 +18,7 @@ Every request runs inside an error boundary: validation failures come
 back as structured ``400`` JSON (``{"error": ...}``, plus ``"index"``
 for the offending batch item), unexpected exceptions come back as
 ``500`` JSON carrying an ``"error_id"`` correlating with the server log
-instead of a dropped connection, and client disconnects
+instead of a connection dropped without a reply, and client disconnects
 (``BrokenPipeError`` / ``ConnectionResetError``) are swallowed without
 a traceback. Each request is timed into the server's shared
 :class:`~repro.service.metrics.ServiceMetrics`.
@@ -26,9 +26,10 @@ a traceback. Each request is timed into the server's shared
 Request hygiene (what a production front end cannot ship without):
 
 * ``Content-Length`` is validated before anything is read — a
-  non-numeric header is a structured ``400`` (not an opaque ``500``)
-  and a negative one is a ``400`` (not an ``rfile.read(-n)``
-  read-to-EOF hang on a keep-alive connection);
+  non-numeric header is a structured ``400`` (not an opaque ``500``),
+  a negative one is a ``400`` (not an ``rfile.read(-n)`` read-to-EOF
+  hang), and conflicting duplicates are a ``400`` (reading either
+  length would misframe the next request);
 * bodies are capped at ``max_body_bytes`` **before** the read — an
   oversized ``Content-Length`` answers ``413`` without buffering or
   parsing a single byte of payload;
@@ -43,6 +44,29 @@ over budget gets ``429`` with a ``Retry-After`` header and the refusal
 is visible in ``/v1/metrics`` (status counter + ``rate_limiter``
 section).
 
+Connections (HTTP/1.1):
+
+* a client's connection, and the handler thread serving it, persist
+  across requests: an HTTP/1.1 client sends its next request on the
+  same socket instead of paying a TCP connect, an accept and a thread
+  start per request. Pipelined requests are answered in order. An
+  HTTP/1.0 request or a ``Connection: close`` request still gets one
+  response per connection;
+* replies go out with TCP_NODELAY: headers and body are two writes,
+  and on a reused socket Nagle's algorithm would hold the second one
+  until the client's delayed ACK (~40 ms per reply);
+* a connection idle (or stalled mid-request) for ``KEEPALIVE_IDLE_S``
+  seconds is closed, so idle clients cannot hold threads forever, and
+  closing the server ends the connections still open without waiting
+  out that timeout;
+* the server closes the connection after a reply when the request
+  declared a body (a ``Content-Length`` other than 0, or any
+  ``Transfer-Encoding``) that the handler did not read in full — its
+  bytes would otherwise be parsed as the next request — and after
+  every ``500``. ``Expect: 100-continue`` is answered with ``100`` only
+  for a body within the cap; a refused one gets its ``400``/``413``
+  straight away.
+
 ``create_server`` binds (``port=0`` picks an ephemeral port, which the
 tests and the smoke script use); ``serve`` blocks until interrupted and
 exits with a one-line message — not a traceback — when the port is
@@ -54,7 +78,9 @@ from __future__ import annotations
 import errno
 import json
 import math
+import socket
 import sys
+import threading
 import time
 import traceback
 import uuid
@@ -105,11 +131,22 @@ RATE_LIMIT_EXEMPT = ("/v1/healthz",)
 #: Connection-level errors meaning the client went away mid-reply.
 CLIENT_GONE = (BrokenPipeError, ConnectionResetError)
 
+#: Seconds a persistent connection may sit idle (or stall mid-request)
+#: before the server closes it and frees its handler thread.
+KEEPALIVE_IDLE_S = 30.0
+
 
 class IntelRequestHandler(BaseHTTPRequestHandler):
     """Routes the six ``/v1`` endpoints onto the service."""
 
     server_version = "repro-intel/1.3"
+    # One connection, and this handler's thread, serve many requests.
+    protocol_version = "HTTP/1.1"
+    # Headers and body are two writes: send the body without waiting
+    # for the client to ACK the headers.
+    disable_nagle_algorithm = True
+    # Socket timeout: an idle connection is closed after this long.
+    timeout = KEEPALIVE_IDLE_S
 
     @property
     def service(self) -> EnrichmentService:
@@ -124,6 +161,22 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except CLIENT_GONE:
+            pass  # the client reset the connection between requests
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` only for a body the length checks accept.
+
+        Otherwise no ``100`` goes out and the route answers ``400`` or
+        ``413`` at once, instead of inviting a body it then refuses.
+        """
+        if "Content-Length" in self.headers and self._declared_length()[1] is None:
+            return super().handle_expect_100()
+        return True
+
     def _reply(self, status: int, payload: Dict, headers: Optional[Dict] = None) -> None:
         body = json.dumps(payload).encode("utf-8")
         # Observe before the first byte goes out: a client that has read
@@ -134,8 +187,21 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, str(value))
+        if status == 500 or self._body_unread():
+            # Unread body bytes would be parsed as the next request, and
+            # a 500 leaves the request's framing unknown.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _body_unread(self) -> bool:
+        """True when the request declared a body not read in full."""
+        if "Transfer-Encoding" in self.headers:
+            return True  # never decoded, so its end is unknown
+        if self._body_read:
+            return False
+        length, refusal = self._declared_length()
+        return refusal is not None or length > 0
 
     def _error(self, status: int, message: str, **extra) -> None:
         self._reply(status, {"error": message, **extra})
@@ -191,6 +257,7 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         self._started = time.perf_counter()
         self._observed = False
         self._rows = None  # row count for row-returning endpoints
+        self._body_read = False
         try:
             if not self._over_rate_limit():
                 route()
@@ -220,43 +287,50 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         except CLIENT_GONE:
             pass
 
+    def _declared_length(self) -> Tuple[int, Optional[Tuple[int, str]]]:
+        """``(Content-Length, None)`` (0 when absent), or ``(0, (status,
+        message))`` when the declared length is refused.
+
+        Checked before touching the socket: a non-numeric header answers
+        a structured 400 instead of crashing into the 500 boundary, a
+        negative one answers 400 instead of ``rfile.read(-n)`` (which
+        reads to EOF), conflicting duplicates answer 400 (either length
+        would misframe the next request), and a length over the body cap
+        answers 413 without reading — one request can neither pin a
+        worker on an endless body nor balloon memory before validation.
+        """
+        values = self.headers.get_all("Content-Length", ())
+        if len({value.strip() for value in values}) > 1:
+            return 0, (400, f"conflicting Content-Length headers: {values!r}")
+        raw = values[0].strip() if values else ""
+        try:
+            length = int(raw) if raw else 0
+        except ValueError:
+            return 0, (400, f"invalid Content-Length header: {values[0]!r}")
+        if length < 0:
+            return 0, (400, f"negative Content-Length: {length}")
+        cap = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
+        if length > cap:
+            return 0, (413, f"body of {length} bytes exceeds the {cap} byte limit")
+        return length, None
+
     def _read_json_body(self):
         """The request body parsed as JSON, or None (error already sent).
 
-        Validates ``Content-Length`` before touching the socket: a
-        non-numeric header answers a structured 400 instead of crashing
-        into the 500 boundary, a negative one answers 400 instead of
-        ``rfile.read(-n)`` (which reads to EOF and hangs a keep-alive
-        connection), and a length over the body cap answers 413 without
-        reading — one request can neither pin a worker on an endless
-        body nor balloon memory before validation. Whenever the body is
-        refused unread, the connection is closed (the unread bytes
-        would otherwise be parsed as the next request).
+        A refused length (``_declared_length``) is answered without
+        reading the body, and ``_reply`` then closes the connection.
         """
-        raw = self.headers.get("Content-Length")
+        length, refusal = self._declared_length()
+        if refusal is not None:
+            self._error(*refusal)
+            return None
+        raw = self.rfile.read(length)
+        self._body_read = len(raw) == length
         try:
-            length = int(raw.strip()) if raw is not None and raw.strip() else 0
-        except ValueError:
-            self.close_connection = True
-            self._error(400, f"invalid Content-Length header: {raw!r}")
-            return None
-        if length < 0:
-            self.close_connection = True
-            self._error(400, f"negative Content-Length: {length}")
-            return None
-        cap = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
-        if length > cap:
-            self.close_connection = True
-            self._error(
-                413, f"body of {length} bytes exceeds the {cap} byte limit"
-            )
-            return None
-        try:
-            payload = json.loads(self.rfile.read(length) or b"")
+            return json.loads(raw or b"")
         except json.JSONDecodeError:
             self._error(400, "body is not valid JSON")
             return None
-        return payload
 
     # -- GET --------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
@@ -488,6 +562,42 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         self._reply(200, result.to_dict())
 
 
+class IntelHTTPServer(ThreadingHTTPServer):
+    """A ThreadingHTTPServer whose close also ends open connections.
+
+    ``server_close`` joins every handler thread, and a persistent
+    connection's thread waits for the client's next request. Shutting
+    down the read side of each open connection first makes a waiting
+    handler see EOF at once, while one mid-request still sends its
+    reply.
+    """
+
+    def __init__(self, server_address, handler_class) -> None:
+        self._open = set()
+        self._open_lock = threading.Lock()
+        super().__init__(server_address, handler_class)
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._open_lock:
+            held = list(self._open)
+        for request in held:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+        super().server_close()
+
+
 def create_server(
     service: EnrichmentService,
     host: str = "127.0.0.1",
@@ -506,7 +616,7 @@ def create_server(
     limiting at that many requests/second (burst ``rate_burst``,
     default = the rate); ``None`` disables limiting entirely.
     """
-    server = ThreadingHTTPServer((host, port), IntelRequestHandler)
+    server = IntelHTTPServer((host, port), IntelRequestHandler)
     server.service = service  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
     server.metrics = ServiceMetrics()  # type: ignore[attr-defined]
