@@ -12,7 +12,9 @@ is reported:
    execution knob, never a result knob);
 2. **cold vs warm embedding cache** — a similarity-knob sweep over a
    warmed cache must skip 100% of re-embeds and produce the same
-   groups;
+   groups; and the delta engine's ``IncrementalSimilarStage``, run on
+   a memory-only store a cold build just filled, must embed nothing
+   and return the same groups, labels and ``kmeans_k``;
 3. **cold vs warm-start** ``grow_kmeans`` — on recoverable structure the
    warm-started growth loop must reach the identical partition, in no
    more total Lloyd iterations.
@@ -33,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.delta.similar import IncrementalSimilarStage
 from repro.core.kmeans import grow_kmeans
 from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig, cluster_artifacts
@@ -72,8 +75,9 @@ def bench_serial_vs_parallel(dataset, jobs: int, rounds: int) -> None:
     )
 
 
-def bench_embedding_cache(artifacts, rounds: int) -> None:
+def bench_embedding_cache(entries, rounds: int) -> None:
     print("\n== cold vs warm embedding cache (min_similarity sweep) ==")
+    artifacts = [e.artifact for e in entries]
     cache_dir = Path(tempfile.mkdtemp(prefix="bench-embed-cache-"))
     try:
         cold_s, cold = _timed(
@@ -114,6 +118,25 @@ def bench_embedding_cache(artifacts, rounds: int) -> None:
         print(
             f"warm  {same_knobs_s:8.3f}s   speedup {cold_s / same_knobs_s:5.2f}x"
             "   (identical groups: yes)"
+        )
+
+        # the delta stage fills its vectors from the same store tiers
+        memory = ArtifactStore(disk_enabled=False)
+        built = cluster_artifacts(artifacts, SimilarityConfig(), store=memory)
+        stage_s, stage = _timed(
+            lambda: IncrementalSimilarStage(SimilarityConfig()).recompute(
+                entries, store=memory
+            ),
+            rounds,
+        )
+        assert stage.timings.cache_misses == 0, "delta stage re-embedded vectors"
+        assert stage.groups == built.groups, "delta stage groups differ"
+        assert np.array_equal(stage.labels, built.labels), "delta labels differ"
+        assert stage.kmeans_k == built.kmeans_k, "delta stage k differs"
+        print(
+            f"stage {stage_s:8.3f}s   speedup {cold_s / stage_s:5.2f}x"
+            f"   (memory tier, re-embeds skipped: {unique}/{unique},"
+            " identical groups/labels/k: yes)"
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
@@ -169,13 +192,11 @@ def main(argv=None) -> int:
     print(f"scale={args.scale} jobs={args.jobs} rounds={args.rounds}")
     world = build_world(WorldConfig(seed=7, scale=args.scale))
     dataset = collect(world).dataset
-    artifacts = [
-        e.artifact for e in dataset.available_entries() if e.artifact.code_files()
-    ]
-    print(f"dataset: {len(dataset.entries)} entries, {len(artifacts)} embeddable")
+    entries = [e for e in dataset.available_entries() if e.artifact.code_files()]
+    print(f"dataset: {len(dataset.entries)} entries, {len(entries)} embeddable")
 
     bench_serial_vs_parallel(dataset, args.jobs, args.rounds)
-    bench_embedding_cache(artifacts, args.rounds)
+    bench_embedding_cache(entries, args.rounds)
     bench_warm_start(args.rounds)
     print("\nall correctness gates passed")
     return 0

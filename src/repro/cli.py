@@ -410,6 +410,7 @@ def cmd_feed(args: argparse.Namespace) -> int:
 
 
 def cmd_update(args: argparse.Namespace) -> int:
+    from repro import pipeline
     from repro.core.delta.events import events_from_jsonl
     from repro.errors import DatasetError, GraphError
     from repro.io.malgraphs import load_malgraph_bundle, save_malgraph_bundle
@@ -429,7 +430,9 @@ def cmd_update(args: argparse.Namespace) -> int:
         similarity = SimilarityConfig(jobs=args.jobs)
     base = load_malgraph_bundle(bundle)
     try:
-        evolved, delta = base.apply_delta(events, similarity=similarity)
+        evolved, delta = base.apply_delta(
+            events, store=pipeline.get_store(), similarity=similarity
+        )
     except (DatasetError, GraphError) as error:
         print(f"update error: {error}", file=sys.stderr)
         return 2

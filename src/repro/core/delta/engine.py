@@ -49,10 +49,10 @@ from repro.core.delta.events import (
 from repro.core.delta.similar import IncrementalSimilarStage
 from repro.core.delta.unionfind import EpochUnionFind
 from repro.core.edges import (
-    SimilarBuildResult,
     coexisting_group_of_report,
     node_attrs,
     node_id,
+    similar_groups_of,
 )
 from repro.core.graph import EdgeType, PropertyGraph
 from repro.core.malgraph import MalGraph
@@ -407,17 +407,14 @@ def apply_delta(
             report.edges_added += 1
 
     # -- similar ------------------------------------------------------------
-    entries_sim = [
-        e for e in evolved.available_entries() if e.artifact.code_files()
-    ]
-    clustering = state.similar_stage.recompute(entries_sim, store=store)
-    report.embed_cache_hits = clustering.timings.cache_hits
-    report.embed_cache_misses = clustering.timings.cache_misses
-    desired_sim: Set[FrozenSet[str]] = set()
-    for members in clustering.groups:
-        desired_sim.add(
-            frozenset(node_id(entries_sim[i].package) for i in members)
-        )
+    similar = similar_groups_of(
+        evolved, lambda entries: state.similar_stage.recompute(entries, store=store)
+    )
+    report.embed_cache_hits = similar.clustering.timings.cache_hits
+    report.embed_cache_misses = similar.clustering.timings.cache_misses
+    desired_sim: Set[FrozenSet[str]] = {
+        frozenset(node_id(e.package) for e in group) for group in similar.groups
+    }
     for members in [
         held for held in state.similar_cliques if held not in desired_sim
     ]:
@@ -432,11 +429,7 @@ def apply_delta(
         state.similar_cliques[members] = index
         links[EdgeType.SIMILAR].append(sorted(members))
         report.cliques_added[EdgeType.SIMILAR.value] += 1
-    target.similar = SimilarBuildResult(
-        groups=[[entries_sim[i] for i in g] for g in clustering.groups],
-        clustering=clustering,
-        embedded_entries=entries_sim,
-    )
+    target.similar = similar
 
     # -- co-existing --------------------------------------------------------
     affected_rids: Set[str] = set()

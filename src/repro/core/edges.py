@@ -8,7 +8,7 @@ edges into a :class:`PropertyGraph` whose nodes are dataset entries
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.graph import EdgeType, PropertyGraph
@@ -156,6 +156,27 @@ class SimilarBuildResult:
     embedded_entries: List[DatasetEntry]
 
 
+def similar_groups_of(
+    dataset: MalwareDataset,
+    cluster: Callable[[List[DatasetEntry]], SimilarityResult],
+) -> SimilarBuildResult:
+    """Cluster the dataset's embeddable entries and resolve each group
+    to its entries.
+
+    Only entries with an artifact holding code can be embedded (the
+    paper likewise can only hash/embed the packages it actually holds).
+    ``cluster`` maps those entries to their :class:`SimilarityResult`:
+    the cold pipeline, or the delta engine's incremental stage.
+    """
+    entries = [e for e in dataset.available_entries() if e.artifact.code_files()]
+    clustering = cluster(entries)
+    return SimilarBuildResult(
+        groups=[[entries[i] for i in members] for members in clustering.groups],
+        clustering=clustering,
+        embedded_entries=entries,
+    )
+
+
 def build_similar_edges(
     graph: PropertyGraph,
     dataset: MalwareDataset,
@@ -164,24 +185,18 @@ def build_similar_edges(
 ) -> SimilarBuildResult:
     """Similar code base => similar edge, via the clustering pipeline.
 
-    Only entries with an artifact can be embedded (the paper likewise
-    can only hash/embed the packages it actually holds). ``store``
-    enables the persistent embedding cache (see
+    ``store`` enables the persistent embedding cache (see
     :func:`repro.core.similarity.cluster_artifacts`).
     """
-    config = config if config is not None else SimilarityConfig()
-    entries = [e for e in dataset.available_entries() if e.artifact.code_files()]
-    clustering = cluster_artifacts(
-        [e.artifact for e in entries], config, store=store
+    similar = similar_groups_of(
+        dataset,
+        lambda entries: cluster_artifacts(
+            [e.artifact for e in entries], config, store=store
+        ),
     )
-    groups: List[List[DatasetEntry]] = []
-    for members in clustering.groups:
-        group = [entries[i] for i in members]
+    for group in similar.groups:
         graph.add_clique([node_id(e.package) for e in group], EdgeType.SIMILAR)
-        groups.append(group)
-    return SimilarBuildResult(
-        groups=groups, clustering=clustering, embedded_entries=entries
-    )
+    return similar
 
 
 # ---------------------------------------------------------------------------

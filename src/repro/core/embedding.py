@@ -212,17 +212,22 @@ class AstEmbedder:
     lexical_weight: float = 5.0
     max_tokens: int = 8000  # matches the paper's input truncation
 
-    def fingerprint(self) -> str:
-        """Content address of everything a vector depends on besides the
-        artifact bytes — the key of the persistent embedding cache."""
-        payload = {
+    def payload(self) -> dict:
+        """Everything a vector depends on besides the artifact bytes:
+        what :meth:`fingerprint` hashes and the ``embeddings`` cache
+        metadata records."""
+        return {
             "feature_version": FEATURE_VERSION,
             "dim": self.dim,
             "structural_weight": self.structural_weight,
             "lexical_weight": self.lexical_weight,
             "max_tokens": self.max_tokens,
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+    def fingerprint(self) -> str:
+        """Content address of :meth:`payload` — the key of the persistent
+        embedding cache."""
+        canonical = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def embed_source(self, source: str) -> np.ndarray:

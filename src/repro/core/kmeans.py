@@ -189,7 +189,8 @@ def grow_kmeans(
     * two centroids nearly coincide (``min gap < duplicate_eps`` — the
       "centroids of newly formed clusters do not change" stop), or
     * inertia improves by less than ``improvement_tol`` per round, or
-    * ``k`` reaches ``max_k`` (default: n // 2).
+    * ``k`` reaches ``max_k`` (default: n // 2; a ``max_k`` below
+      ``start_k`` caps the first round too).
 
     With ``warm_start`` each growth round seeds Lloyd's from the
     previous round's centroids and draws k-means++ picks only for the
@@ -205,13 +206,15 @@ def grow_kmeans(
     and the canonical pipeline must stay byte-identical across every
     execution knob. Returns the final clustering and the trace.
     """
+    if max_k is not None and max_k < 1:
+        raise ConfigError(f"max_k must be >= 1, got {max_k}")
     n = X.shape[0]
     if n == 0:
         return kmeans(X, 1), []
     rng = np.random.default_rng(seed)
     cap = max_k if max_k is not None else max(start_k, n // 2)
     cap = min(cap, n)
-    k = min(start_k, n)
+    k = min(start_k, cap)
     trace: List[GrowthTrace] = []
     best = kmeans(X, k, rng)
     best_seeded = 0

@@ -17,13 +17,29 @@ processes (deduplicated by SHA256 first), vectors persist in the
 embedder-only fingerprint (a ``min_similarity``/``start_k`` sweep never
 re-embeds), and every substage is timed into
 :class:`SimilarityTimings` so the win is observable.
+
+Each step has one implementation here, which the delta engine's
+incremental stage (:mod:`repro.core.delta.similar`) calls too:
+:func:`fill_embeddings` (store tiers, then the embedder),
+:func:`cluster_embedded` (K-Means, per-cluster split, group order) and
+:func:`link_similar` (the blocked cosine kernel over
+:class:`IntUnionFind`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -31,8 +47,8 @@ from repro.core.embedding import DEFAULT_DIM, AstEmbedder
 from repro.core.kmeans import GrowthTrace, KMeansResult, grow_kmeans
 from repro.ecosystem.package import PackageArtifact
 
-#: Row-block size of the per-cluster similarity matmul: one block of the
-#: cosine matrix is materialised at a time, so a single huge cluster
+#: Row-block size of :func:`link_similar`'s cosine matmul: one block of
+#: the cosine matrix is materialised at a time, so a single huge cluster
 #: (the registering-flood case) cannot allocate O(m²) memory at once.
 SIMILARITY_BLOCK_ROWS = 2048
 
@@ -126,29 +142,93 @@ def cluster_artifacts(
     """Run the full similarity pipeline over a batch of artifacts.
 
     ``store`` (a :class:`repro.pipeline.store.ArtifactStore`) enables the
-    persistent embedding cache: vectors for already-seen artifact
-    SHA256s are loaded instead of recomputed, and freshly computed ones
-    are written back, keyed by the embedder-only fingerprint — so any
-    config change outside ``(dim, structural_weight, lexical_weight)``
-    re-clusters without re-embedding.
+    persistent embedding cache (see :func:`fill_embeddings`), keyed by
+    the embedder-only fingerprint — so any config change outside
+    ``(dim, structural_weight, lexical_weight)`` re-clusters without
+    re-embedding.
     """
     config = config if config is not None else SimilarityConfig()
-    n = len(artifacts)
-    labels = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return SimilarityResult(
-            groups=[], labels=labels, kmeans_k=0, timings=SimilarityTimings()
-        )
+    timings = SimilarityTimings(artifacts=len(artifacts), jobs=config.jobs)
+    started = time.perf_counter()
+    vectors: Dict[str, np.ndarray] = {}
+    shas = fill_embeddings(config, artifacts, vectors, timings, store)
+    X = np.array([vectors[sha] for sha in shas], dtype=np.float64).reshape(
+        -1, config.dim
+    )
+    timings.embed_seconds = time.perf_counter() - started
+    return cluster_embedded(
+        X,
+        config,
+        timings,
+        lambda members: _similarity_components(X, members, config.min_similarity),
+    )
+
+
+def fill_embeddings(
+    config: SimilarityConfig,
+    artifacts: Sequence[PackageArtifact],
+    vectors: MutableMapping[str, np.ndarray],
+    timings: SimilarityTimings,
+    store=None,
+) -> List[str]:
+    """Make ``vectors`` (sha256 → vector, owned by the caller) cover
+    every artifact; returns each artifact's SHA256, in order, and
+    records the unique/hit/miss counts in ``timings``.
+
+    A SHA256 ``vectors`` lacks is looked up in the store's memory tier,
+    then its disk tier; the rest are embedded by
+    :meth:`AstEmbedder.embed_many` from one artifact each. Vectors the
+    memory tier lacked are written back to it, and freshly embedded
+    ones to the disk tier too, under the embedder fingerprint.
+    """
     embedder = AstEmbedder(
         dim=config.dim,
         structural_weight=config.structural_weight,
         lexical_weight=config.lexical_weight,
     )
-    timings = SimilarityTimings(artifacts=n, jobs=config.jobs)
-    started = time.perf_counter()
-    X = _embed_artifacts(embedder, artifacts, config.jobs, store, timings)
-    timings.embed_seconds = time.perf_counter() - started
+    shas = [artifact.sha256() for artifact in artifacts]
+    unique: Dict[str, PackageArtifact] = {}
+    for sha, artifact in zip(shas, artifacts):
+        unique.setdefault(sha, artifact)
+    missing = [sha for sha in unique if sha not in vectors]
+    if store is not None and missing:
+        fingerprint = embedder.fingerprint()
+        memory = store.embedding_memory(fingerprint)
+        unheld = sorted(sha for sha in missing if sha not in memory)
+        if unheld:
+            memory.update(store.load_embeddings(fingerprint, unheld))
+        vectors.update((sha, memory[sha]) for sha in missing if sha in memory)
+    computed = [sha for sha in missing if sha not in vectors]
+    timings.unique_artifacts = len(unique)
+    timings.cache_hits = len(unique) - len(computed)
+    timings.cache_misses = len(computed)
+    if computed:
+        embedder.embed_many(
+            [unique[sha] for sha in computed], jobs=config.jobs, cache=vectors
+        )
+        if store is not None:
+            fresh = {sha: vectors[sha] for sha in computed}
+            memory.update(fresh)
+            store.save_embeddings(
+                fingerprint, fresh, {"embedder": embedder.payload()}
+            )
+    return shas
 
+
+def cluster_embedded(
+    X: np.ndarray,
+    config: SimilarityConfig,
+    timings: SimilarityTimings,
+    split: Callable[[np.ndarray], List[List[int]]],
+) -> SimilarityResult:
+    """Steps 3 and 4 over an embedded ``(n, dim)`` matrix.
+
+    Runs :func:`grow_kmeans` with ``config``'s knobs, splits each
+    cluster's member rows into cosine components (lists of ints) with
+    ``split`` (unless ``min_similarity`` is None), and keeps the parts
+    with two or more members as groups: largest first, ties by first
+    member. ``labels`` gives each row its group (-1 = ungrouped).
+    """
     started = time.perf_counter()
     result, trace = grow_kmeans(
         X,
@@ -163,16 +243,16 @@ def cluster_artifacts(
     groups: List[List[int]] = []
     for members in result.clusters():
         if config.min_similarity is None:
-            split = [members]
+            components = [members.tolist()]
         else:
-            split = _similarity_components(X, members, config.min_similarity)
-        for component in split:
+            components = split(members)
+        for component in components:
             if len(component) >= 2:
-                groups.append(sorted(int(i) for i in component))
+                groups.append(sorted(component))
     groups.sort(key=lambda g: (-len(g), g[0]))
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
     for group_id, members in enumerate(groups):
-        for member in members:
-            labels[member] = group_id
+        labels[members] = group_id
     timings.split_seconds = time.perf_counter() - started
     return SimilarityResult(
         groups=groups,
@@ -183,50 +263,64 @@ def cluster_artifacts(
     )
 
 
-def _embed_artifacts(
-    embedder: AstEmbedder,
-    artifacts: Sequence[PackageArtifact],
-    jobs: int,
-    store,
-    timings: SimilarityTimings,
-) -> np.ndarray:
-    """Embed through the persistent cache (when a store is given)."""
-    shas = {artifact.sha256() for artifact in artifacts}
-    timings.unique_artifacts = len(shas)
-    if store is None:
-        timings.cache_misses = len(shas)
-        return embedder.embed_many(artifacts, jobs=jobs)
-    embedder_fp = embedder.fingerprint()
-    cache = store.embedding_memory(embedder_fp)
-    missing = sorted(sha for sha in shas if sha not in cache)
-    if missing:
-        cache.update(store.load_embeddings(embedder_fp, missing))
-    to_compute = [sha for sha in shas if sha not in cache]
-    timings.cache_hits = len(shas) - len(to_compute)
-    timings.cache_misses = len(to_compute)
-    X = embedder.embed_many(artifacts, jobs=jobs, cache=cache)
-    if to_compute:
-        store.save_embeddings(
-            embedder_fp,
-            {sha: cache[sha] for sha in to_compute},
-            embedder_payload(embedder),
-        )
-    return X
+class IntUnionFind:
+    """Union-find over dense int ids, list-backed, with path halving and
+    union by size; :func:`link_similar` adds the ids and links them.
+    ``size`` holds each root's component size."""
+
+    def __init__(self) -> None:
+        self.parent: List[int] = []
+        self.size: List[int] = []
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
 
 
-def embedder_payload(embedder: AstEmbedder) -> dict:
-    """The embedder knobs stamped into ``embeddings`` cache metadata."""
-    from repro.core.embedding import FEATURE_VERSION
+def link_similar(
+    matrix: np.ndarray,
+    threshold: float,
+    components: Optional[IntUnionFind] = None,
+    start: int = 0,
+) -> IntUnionFind:
+    """Union the rows of ``matrix`` (unit vectors) whose cosine is at
+    least ``threshold``; returns ``components``, grown to one id per row.
 
-    return {
-        "embedder": {
-            "feature_version": FEATURE_VERSION,
-            "dim": embedder.dim,
-            "structural_weight": embedder.structural_weight,
-            "lexical_weight": embedder.lexical_weight,
-            "max_tokens": embedder.max_tokens,
-        }
-    }
+    Only pairs with a row at or after ``start`` are compared: rows
+    before it count as linked already, so appending rows costs
+    O(new × all), not O(all²). The cosine matrix is materialised in
+    :data:`SIMILARITY_BLOCK_ROWS` row blocks, so no input can demand an
+    O(m²) allocation at once.
+    """
+    if components is None:
+        components = IntUnionFind()
+    parent, size, find = components.parent, components.size, components.find
+    held, m = len(parent), matrix.shape[0]
+    parent.extend(range(held, m))
+    size.extend([1] * (m - held))
+    for block_start in range(start, m, SIMILARITY_BLOCK_ROWS):
+        block = matrix[block_start : block_start + SIMILARITY_BLOCK_ROWS]
+        sims = block @ matrix.T
+        rows, cols = np.nonzero(sims >= threshold)
+        row = root = -1
+        for i, j in zip((rows + block_start).tolist(), cols.tolist()):
+            # (i, j) and (j, i) are both in the block matrix unless
+            # j < start: link each pair once
+            if i < j or j < start:
+                # pairs come row by row, and ``root`` stays the root of
+                # i's component across the row's links (union by size)
+                if i != row:
+                    row, root = i, find(i)
+                other = find(j)
+                if other != root:
+                    if size[root] < size[other]:
+                        root, other = other, root
+                    parent[other] = root
+                    size[root] += size[other]
+    return components
 
 
 def _similarity_components(
@@ -236,34 +330,15 @@ def _similarity_components(
 
     Works on *unique* vectors (duplicated code collapses to one point), so
     even the registering-flood cluster with thousands of identical
-    packages costs one row — and the cosine matrix is materialised in
-    :data:`SIMILARITY_BLOCK_ROWS` row blocks, so no single cluster can
-    demand an O(m²) allocation at once.
+    packages costs one row. The incremental stage
+    (:mod:`repro.core.delta.similar`) must reproduce this split exactly.
     """
     vectors = X[members]
     unique, inverse = np.unique(vectors.round(9), axis=0, return_inverse=True)
-    m = unique.shape[0]
-    if m == 1:
-        return [list(members)]
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for block_start in range(0, m, SIMILARITY_BLOCK_ROWS):
-        block = unique[block_start : block_start + SIMILARITY_BLOCK_ROWS]
-        sims = block @ unique.T
-        rows, cols = np.nonzero(sims >= threshold)
-        for i, j in zip((rows + block_start).tolist(), cols.tolist()):
-            if i < j:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    if unique.shape[0] == 1:
+        return [members.tolist()]
+    linked = link_similar(unique, threshold)
     components: Dict[int, List[int]] = {}
-    for position, member in enumerate(members):
-        root = find(int(inverse[position]))
-        components.setdefault(root, []).append(int(member))
+    for member, position in zip(members.tolist(), inverse.tolist()):
+        components.setdefault(linked.find(position), []).append(member)
     return list(components.values())

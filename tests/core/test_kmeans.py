@@ -139,6 +139,14 @@ def test_grow_kmeans_stops_at_max_k():
     X = _blobs(12, centers=8, per=10)
     result, _ = grow_kmeans(X, start_k=3, max_k=4, seed=0)
     assert result.k <= 4
+    # a cap below start_k binds the first round too
+    for max_k in (1, 2):
+        result, trace = grow_kmeans(X, start_k=3, max_k=max_k, seed=0)
+        assert result.k == max_k
+        assert [t.k for t in trace] == [max_k]
+    for max_k in (0, -1):
+        with pytest.raises(ConfigError):
+            grow_kmeans(X, start_k=3, max_k=max_k, seed=0)
 
 
 def test_grow_kmeans_trace_is_monotone_in_k():

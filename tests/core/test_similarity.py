@@ -8,6 +8,8 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import similarity
+from repro.core.delta.similar import IncrementalSimilarStage
 from repro.core.similarity import (
     SimilarityConfig,
     _similarity_components,
@@ -142,6 +144,76 @@ def test_similarity_components_single_unique_vector():
     members = np.arange(5)
     components = _similarity_components(X, members, threshold=0.99)
     assert [sorted(c) for c in components] == [[0, 1, 2, 3, 4]]
+
+
+def _unblocked_components(vectors: np.ndarray, threshold: float):
+    """Reference: components of the cosine >= threshold graph, from the
+    whole cosine matrix at once."""
+    linked = vectors @ vectors.T >= threshold
+    unseen = set(range(len(vectors)))
+    components = set()
+    while unseen:
+        stack = [unseen.pop()]
+        component = set(stack)
+        while stack:
+            for j in np.flatnonzero(linked[stack.pop()]).tolist():
+                if j in unseen:
+                    unseen.remove(j)
+                    component.add(j)
+                    stack.append(j)
+        components.add(frozenset(component))
+    return components
+
+
+def _clustered_unit_rows(seed: int, count: int) -> np.ndarray:
+    """Unit rows scattered around a few directions, so the 0.9-cosine
+    graph has several multi-row components and some singletons."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(4, 6))
+    rows = centers[rng.integers(0, 4, size=count)] + rng.normal(
+        scale=0.35, size=(count, 6)
+    )
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3])
+def test_similarity_components_across_block_boundaries(monkeypatch, block_rows):
+    monkeypatch.setattr(similarity, "SIMILARITY_BLOCK_ROWS", block_rows)
+    unique = _clustered_unit_rows(seed=block_rows, count=23)
+    # duplicated rows collapse to one unique vector before the kernel
+    X = np.vstack([unique, unique[[0, 5, 5, 17]]])
+    members = np.arange(3, len(X))
+    components = _similarity_components(X, members, threshold=0.9)
+    assert {frozenset(c) for c in components} == {
+        frozenset(int(members[i]) for i in component)
+        for component in _unblocked_components(X[members], 0.9)
+    }
+    assert len(components) > 1 and any(len(c) > block_rows for c in components)
+
+
+@pytest.mark.parametrize("block_rows", [2, 3])
+def test_stage_global_components_across_block_boundaries(monkeypatch, block_rows):
+    """Keys arrive in batches whose first new key sits mid-block; after
+    each batch the global components equal the unblocked reference."""
+    monkeypatch.setattr(similarity, "SIMILARITY_BLOCK_ROWS", block_rows)
+    vectors = _clustered_unit_rows(seed=10 + block_rows, count=26)
+    stage = IncrementalSimilarStage(SimilarityConfig(dim=6, min_similarity=0.9))
+    stage._vectors = {f"sha{i}": row for i, row in enumerate(vectors)}
+    for end in (5, 13, 19, 26):
+        first_new = stage._key_matrix.shape[0]
+        assert first_new == 0 or first_new % block_rows
+        ids = stage._ids_for([f"sha{i}" for i in range(end)])
+        assert ids == list(range(end))
+        grouped = {}
+        for key in ids:
+            grouped.setdefault(stage._components.find(key), set()).add(key)
+        assert {frozenset(g) for g in grouped.values()} == _unblocked_components(
+            vectors[:end].round(9), 0.9
+        )
+        # root sizes drive the stage's whole-component shortcut
+        sizes = stage._components.size
+        assert all(sizes[root] == len(group) for root, group in grouped.items())
+    assert len(grouped) > 1 and max(map(len, grouped.values())) > block_rows
 
 
 def test_trace_records_growth():

@@ -7,14 +7,18 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.delta import GraphEvent
 from repro.core.embedding import AstEmbedder
+from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig, cluster_artifacts
 from repro.ecosystem.package import make_artifact
 from repro.pipeline.store import ArtifactStore, EMBEDDINGS_STAGE, META_FILENAME
+from tests.core.helpers import dataset, entry
 
 
 def _artifacts(count: int = 6):
@@ -126,13 +130,34 @@ def test_corrupt_meta_invalidates_the_whole_entry(tmp_path):
 
 def test_memory_tier_serves_repeat_builds_without_disk(tmp_path):
     """Within one process the sha → vector map lives in the store's
-    memory LRU; a repeat build is fully warm even with disk disabled."""
+    memory LRU; a repeat build is fully warm even with disk disabled,
+    and the delta engine's similar stage reads and fills the same map."""
     artifacts = _artifacts()
     store = ArtifactStore(cache_dir=tmp_path / "cache", disk_enabled=False)
     cold = cluster_artifacts(artifacts, store=store)
     assert cold.timings.cache_misses == cold.timings.unique_artifacts
     warm = cluster_artifacts(artifacts, store=store)
     assert warm.timings.cache_misses == 0
+
+    base = MalGraph.build(
+        dataset(
+            [replace(entry(a.id.name, a.id.version), artifact=a) for a in artifacts]
+        ),
+        store=store,
+    )
+    trimmed, removal = base.apply_delta(
+        [GraphEvent.package_removed(artifacts[0].id)], store=store
+    )
+    assert removal.embed_cache_misses == 0
+    newcomer = entry("fresh", code="def fresh(arg):\n    return arg * 7\n")
+    grown, addition = trimmed.apply_delta(
+        [GraphEvent.package_added(newcomer)], store=store
+    )
+    assert addition.embed_cache_misses == 1
+    rebuilt = cluster_artifacts(
+        [e.artifact for e in grown.dataset.available_entries()], store=store
+    )
+    assert rebuilt.timings.cache_misses == 0
 
 
 def test_embedding_cache_crosses_real_process_boundary(tmp_path):

@@ -480,6 +480,44 @@ def test_update_command_evolves_a_bundle(tmp_path, capsys):
     assert evolved.graph.has_node(f"pypi:{twin.package.name}@1.0")
 
 
+def test_update_command_reuses_the_embedding_cache(tmp_path, capsys, monkeypatch):
+    """`update` bootstraps the delta engine on the process artifact
+    store, so a warm ``embeddings`` tier leaves nothing to embed."""
+    from repro.core.delta.events import GraphEvent, events_to_jsonl
+    from repro.core.embedding import AstEmbedder
+    from repro.core.malgraph import MalGraph
+    from repro.io.malgraphs import (
+        canonical_malgraph_json,
+        load_malgraph_bundle,
+        save_malgraph_bundle,
+    )
+    from repro.pipeline.store import ArtifactStore
+
+    from tests.core.helpers import dataset, entry
+
+    cache = tmp_path / "cache"
+    shared = "def payload():\n    return 'twin'\n"
+    ds = dataset([entry("seed-a", code=shared), entry("seed-b", code="x = 1\n")])
+    bundle = tmp_path / "bundle"
+    save_malgraph_bundle(
+        MalGraph.build(ds, store=ArtifactStore(cache_dir=cache)), bundle
+    )
+    events = [GraphEvent.package_added(entry("late-twin", code=shared))]
+    expected = canonical_malgraph_json(
+        load_malgraph_bundle(bundle).apply_delta(events)[0]
+    )
+
+    def no_embedding(self, source):
+        raise AssertionError("update re-embedded a cached artifact")
+
+    monkeypatch.setattr(AstEmbedder, "embed_source", no_embedding)
+    events_path = events_to_jsonl(events, tmp_path / "events.jsonl")
+    argv = ["--cache-dir", str(cache), "update", "--graph", str(bundle)]
+    assert main(argv + [str(events_path)]) == 0
+    assert "epoch 1" in capsys.readouterr().out
+    assert canonical_malgraph_json(load_malgraph_bundle(bundle)) == expected
+
+
 def test_update_command_writes_to_out_dir(tmp_path, capsys):
     from repro.core.delta.events import GraphEvent, events_to_jsonl
     from repro.core.malgraph import MalGraph
