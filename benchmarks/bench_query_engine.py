@@ -10,7 +10,10 @@ For each world scale it measures:
 1. **index build time** — one ``build_indexes`` pass over the built
    MALGRAPH (the cost the per-graph cache amortises away);
 2. **queries/sec and p95 latency** for 1-, 2- and 3-hop patterns seeded
-   from an indexed name filter (the planner's fast path);
+   from an indexed name filter (the planner's fast path), plus a "2-hop
+   clique" pattern seeded from the name with the most similar
+   neighbours: a large similar group makes its result the largest, the
+   shape of the slowest ``/v1/query`` requests a server sees;
 3. **indexed vs naive-scan speedup** — the same patterns executed with
    planning disabled (full node scan from the leftmost variable).
 
@@ -47,27 +50,28 @@ def _patterns(engine: QueryEngine):
     from repro.core.graph import EdgeType
 
     indexes = engine.indexes()
-    seeds = [
-        indexes.node_attrs(node)["name"]
+    degree = {
+        node: len(indexes.neighbors(node, (EdgeType.SIMILAR,)))
         for node in indexes.nodes
-        if indexes.neighbors(node, (EdgeType.SIMILAR,))
+    }
+    seeds = [
+        indexes.node_attrs(node)["name"] for node in indexes.nodes if degree[node]
     ]
     if not seeds:
         raise SystemExit("no similar edges at this scale; nothing to bench")
     name = seeds[len(seeds) // 2]
+    clique = indexes.node_attrs(max(indexes.nodes, key=degree.__getitem__))["name"]
+    two_hop = "MATCH (a)-[similar]-(b)-[coexisting]-(c) WHERE a.name = '{}' RETURN c"
     # selectivity lives in WHERE: the planner seeds from the name index,
     # the naive baseline scans every node and filters at the end
     return [
         ("1-hop", f"MATCH (a)-[similar]-(b) WHERE a.name = '{name}' RETURN b"),
-        (
-            "2-hop",
-            "MATCH (a)-[similar]-(b)-[coexisting]-(c) "
-            f"WHERE a.name = '{name}' RETURN c",
-        ),
+        ("2-hop", two_hop.format(name)),
         (
             "3-hop",
             f"MATCH (a)-[similar*1..3]-(b) WHERE a.name = '{name}' RETURN b",
         ),
+        ("2-hop clique", two_hop.format(clique)),
     ]
 
 
@@ -118,7 +122,7 @@ def bench_scale(scale: float, repeats: int, naive_rounds: int) -> None:
         speedup = naive_s / indexed_s if indexed_s > 0 else float("inf")
         best_speedup = max(best_speedup, speedup)
         print(
-            f"{label}: {1.0 / indexed_s:9.0f} q/s"
+            f"{label:>12}: {1.0 / indexed_s:9.0f} q/s"
             f"   p95 {_p95(samples) * 1000:7.3f} ms"
             f"   naive {naive_s * 1000:8.3f} ms"
             f"   speedup {speedup:7.1f}x"

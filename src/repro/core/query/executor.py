@@ -10,11 +10,15 @@ scan of every node.
 **Executor.** From the start variable the chain is expanded rightwards
 then leftwards with per-variable pruning (inline props plus the
 AND-spine comparisons mentioning only that variable), using the
-direction-appropriate neighbour map for each edge pattern. A
+direction-appropriate neighbour map for each edge pattern. A variable
+with nothing to prune is bound without reading its attributes. A
 variable-length hop (``*lo..hi``) binds the far variable to every node
 whose *shortest* distance over the selected edge types and direction
 falls inside the range (breadth-first with a visited set, so the walk
-is linear in the touched neighbourhood, not the path count).
+is linear in the touched neighbourhood, not the path count). Complete
+bindings are checked against the residual WHERE only: nothing when the
+WHERE is an AND of comparisons (pruning already applied each one), the
+whole WHERE when it holds an OR or a parenthesised group.
 
 Row order is canonical — bindings sort by their node-id tuple before
 projection — so the indexed executor, the naive scan baseline and every
@@ -54,6 +58,7 @@ from repro.core.query.ast import (
     NodePattern,
     QueryAst,
     QueryError,
+    ReturnItem,
 )
 from repro.core.query.indexes import INDEXED_ATTRS, GraphIndexes
 
@@ -188,8 +193,8 @@ def _hop_targets(
 
 def _node_predicate(
     query: MatchQuery, index: int, pushdown: bool
-) -> Callable[[Dict[str, Any]], bool]:
-    """Per-variable pruning.
+) -> Optional[Callable[[Dict[str, Any]], bool]]:
+    """Per-variable pruning, or None when there is nothing to prune.
 
     Always enforces the pattern's inline props (they define the match,
     not an optimisation). With ``pushdown`` the AND-spine WHERE
@@ -204,7 +209,7 @@ def _node_predicate(
     )
     props = node.props
     if not comparisons and not props:
-        return lambda attrs: True
+        return None
 
     def predicate(attrs: Dict[str, Any]) -> bool:
         for key, value in props:
@@ -213,6 +218,26 @@ def _node_predicate(
         return all(c.evaluate(attrs) for c in comparisons)
 
     return predicate
+
+
+def _residual_where(query: MatchQuery, naive: bool) -> Optional[BoolExpr]:
+    """What of the WHERE is left to check on complete bindings.
+
+    Nothing when it is an AND of comparisons on pattern variables:
+    :func:`_node_predicate` applied each one to its own variable at bind
+    time. The naive baseline, an OR and a parenthesised group keep the
+    whole WHERE.
+    """
+    where = query.where
+    if where is None or naive or where.op != "and":
+        return where
+    variables = set(query.variables)
+    if all(
+        isinstance(part, Comparison) and part.var in variables
+        for part in where.parts
+    ):
+        return None
+    return where
 
 
 def _match_bindings(
@@ -225,6 +250,8 @@ def _match_bindings(
     else:
         plan = plan_match(query, indexes)
     prune = [_node_predicate(query, i, pushdown=not naive) for i in range(n)]
+    residual = _residual_where(query, naive)
+    variables = query.variables
 
     if plan.seed_attr is not None:
         seeds: Iterable[str] = indexes.lookup(plan.seed_attr, plan.seed_value)
@@ -235,12 +262,13 @@ def _match_bindings(
     assignment: List[Optional[str]] = [None] * n
 
     def emit_if_satisfied() -> None:
-        bound = {
-            query.nodes[i].var: indexes.node_attrs(assignment[i])
-            for i in range(n)
-        }
-        if query.where is None or query.where.evaluate(bound):
-            bindings.append(tuple(assignment))  # type: ignore[arg-type]
+        if residual is not None:
+            bound = {
+                variables[i]: indexes.node_attrs(assignment[i]) for i in range(n)
+            }
+            if not residual.evaluate(bound):
+                return
+        bindings.append(tuple(assignment))  # type: ignore[arg-type]
 
     def extend_right(i: int) -> None:
         """Bind node i+1..n-1, then hand off to the left expansion."""
@@ -248,8 +276,9 @@ def _match_bindings(
             extend_left(plan.start)
             return
         edge = query.edges[i]
+        keep = prune[i + 1]
         for candidate in _hop_targets(indexes, assignment[i], edge, forward=True):
-            if not prune[i + 1](indexes.node_attrs(candidate)):
+            if keep is not None and not keep(indexes.node_attrs(candidate)):
                 continue
             assignment[i + 1] = candidate
             extend_right(i + 1)
@@ -261,15 +290,17 @@ def _match_bindings(
             emit_if_satisfied()
             return
         edge = query.edges[i - 1]
+        keep = prune[i - 1]
         for candidate in _hop_targets(indexes, assignment[i], edge, forward=False):
-            if not prune[i - 1](indexes.node_attrs(candidate)):
+            if keep is not None and not keep(indexes.node_attrs(candidate)):
                 continue
             assignment[i - 1] = candidate
             extend_left(i - 1)
             assignment[i - 1] = None
 
+    keep = prune[plan.start]
     for seed in seeds:
-        if not prune[plan.start](indexes.node_attrs(seed)):
+        if keep is not None and not keep(indexes.node_attrs(seed)):
             continue
         assignment[plan.start] = seed
         extend_right(plan.start)
@@ -289,26 +320,24 @@ def _project(
 
     var_index = {node.var: i for i, node in enumerate(query.nodes)}
 
-    def cell(binding: Tuple[str, ...], var: str, attr: Optional[str]):
-        node = binding[var_index[var]]
-        if attr is None:
-            return node
-        return indexes.node_attrs(node).get(attr)
+    def column(item: ReturnItem) -> List[Any]:
+        """One item's value in every binding; a bare variable is the
+        binding's node id itself."""
+        at = var_index[item.var]
+        if item.attr is None:
+            return [binding[at] for binding in bindings]
+        return [indexes.node_attrs(binding[at]).get(item.attr) for binding in bindings]
 
-    rows = [
-        tuple(cell(b, item.var, item.attr) for item in query.returns)
-        for b in bindings
-    ]
+    rows = list(zip(*[column(item) for item in query.returns]))
 
     if query.order_by is not None:
-        item = query.order_by
         # index tiebreak: equal keys must never fall through to comparing
         # row tuples (mixed None/str rows are unorderable), and ties stay
         # stable in canonical binding order
         decorated = sorted(
             (
-                (cell(b, item.var, item.attr), idx, row)
-                for idx, (b, row) in enumerate(zip(bindings, rows))
+                (key, idx, row)
+                for idx, (key, row) in enumerate(zip(column(query.order_by), rows))
             ),
             key=lambda triple: ((triple[0] is None, triple[0]), triple[1]),
             reverse=query.order_desc,

@@ -58,7 +58,8 @@ Connections (HTTP/1.1):
 * a connection idle (or stalled mid-request) for ``KEEPALIVE_IDLE_S``
   seconds is closed, so idle clients cannot hold threads forever, and
   closing the server ends the connections still open without waiting
-  out that timeout;
+  out that timeout. A request whose declared body stalls that long is
+  answered ``408`` before the close;
 * the server closes the connection after a reply when the request
   declared a body (a ``Content-Length`` other than 0, or any
   ``Transfer-Encoding``) that the handler did not read in full — its
@@ -318,13 +319,19 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         """The request body parsed as JSON, or None (error already sent).
 
         A refused length (``_declared_length``) is answered without
-        reading the body, and ``_reply`` then closes the connection.
+        reading the body, and a body that stops arriving for ``timeout``
+        seconds is answered ``408``; ``_reply`` then closes the
+        connection, since the body's end is unknown.
         """
         length, refusal = self._declared_length()
         if refusal is not None:
             self._error(*refusal)
             return None
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, f"request body stalled for {self.timeout:g} s")
+            return None
         self._body_read = len(raw) == length
         try:
             return json.loads(raw or b"")

@@ -14,7 +14,7 @@ import pytest
 from repro.core.edges import node_id
 from repro.core.graph import EdgeType, PropertyGraph
 from repro.core.malgraph import MalGraph
-from repro.core.query import QueryEngine, QueryError
+from repro.core.query import BoolExpr, QueryEngine, QueryError
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +161,47 @@ def test_indexed_and_naive_agree(seeded, engine):
         "MATCH (a)-[coexisting]-(b)-[similar]-(c) RETURN a.name, c.name",
         "MATCH (a) WHERE a.release_day < 50 RETURN a ORDER BY a.name LIMIT 7",
         "MATCH (a)-[similar|coexisting]-(b) RETURN count(*)",
+        # an OR and an OR nested in an AND are checked on complete
+        # bindings, not pushed down
+        "MATCH (a)-[similar]-(b)-[coexisting]-(c) "
+        "WHERE a.ecosystem = 'npm' OR c.release_day < 30 RETURN a, b, c",
+        "MATCH (a)-[similar]-(b)-[coexisting]-(c) WHERE b.ecosystem = 'pypi' "
+        "AND (a.release_day >= 60 OR c.name = 'pkg07') RETURN a, c",
     ]
     for text in queries:
         indexed = engine.run(text)
         naive = engine.run(text, naive=True)
         assert indexed.rows == naive.rows, text
         assert indexed.columns == naive.columns
+
+
+def test_pushed_down_where_is_not_rechecked(seeded, engine, monkeypatch):
+    """An AND of comparisons prunes while binding and is never evaluated
+    again; an OR, and the naive baseline, evaluate the WHERE on every
+    candidate binding."""
+    graph, adjacency = seeded
+    evaluate = BoolExpr.evaluate
+    calls = []
+
+    def counted(self, bound):
+        calls.append(self)
+        return evaluate(self, bound)
+
+    monkeypatch.setattr(BoolExpr, "evaluate", counted)
+    chains = sum(
+        len(adjacency[EdgeType.COEXISTING].get(b, ()))
+        for a in graph.nodes()
+        for b in adjacency[EdgeType.SIMILAR].get(a, ())
+    )
+    pattern = "MATCH (a)-[similar]-(b)-[coexisting]-(c) WHERE "
+    conjunction = pattern + "a.ecosystem = 'npm' AND c.release_day < 50 RETURN c"
+    assert engine.run(conjunction).rows
+    assert calls == []
+    engine.run(pattern + "a.ecosystem = 'npm' OR c.release_day < 50 RETURN c")
+    assert len(calls) >= chains > 0
+    calls.clear()
+    engine.run(conjunction, naive=True)
+    assert len(calls) >= chains
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import EdgeType, PropertyGraph
-from repro.core.query import QueryEngine
+from repro.core.query import QueryEngine, build_indexes
 
 _ECOSYSTEMS = ["npm", "pypi", "rubygems"]
 
@@ -93,3 +96,207 @@ def test_order_by_sorts(data):
     ).rows
     days = [r[0] for r in rows]
     assert days == sorted(days)
+
+
+# ---------------------------------------------------------------------------
+# Multi-hop chains with WHERE: indexed == naive == brute force
+# ---------------------------------------------------------------------------
+
+_CHAIN_TYPES = (EdgeType.SIMILAR, EdgeType.COEXISTING, EdgeType.DEPENDENCY)
+
+
+@st.composite
+def typed_graphs(draw):
+    """A pinned engine over similar, coexisting and directed dependency
+    edges, the node attrs, and reference adjacency sets keyed by
+    (edge type, direction)."""
+    n = draw(st.integers(2, 7))
+    nodes = [f"n{idx}" for idx in range(n)]
+    graph = PropertyGraph()
+    attrs = {}
+    for idx, node in enumerate(nodes):
+        attrs[node] = {
+            "ecosystem": draw(st.sampled_from(_ECOSYSTEMS)),
+            "release_day": draw(st.integers(0, 100)),
+            "name": f"pkg{idx}",
+        }
+        graph.add_node(node, **attrs[node])
+    pairs = st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        max_size=12,
+    )
+    adjacency = {
+        (edge_type, direction): {node: set() for node in nodes}
+        for edge_type in _CHAIN_TYPES
+        for direction in ("out", "in", "any")
+    }
+    for edge_type in _CHAIN_TYPES:
+        for u, v in draw(pairs):
+            graph.add_edge(u, v, edge_type)
+            # u -> v: a dependency is directed, the other types symmetric
+            adjacency[edge_type, "out"][u].add(v)
+            adjacency[edge_type, "in"][v].add(u)
+            adjacency[edge_type, "any"][u].add(v)
+            adjacency[edge_type, "any"][v].add(u)
+            if edge_type is not EdgeType.DEPENDENCY:
+                adjacency[edge_type, "out"][v].add(u)
+                adjacency[edge_type, "in"][u].add(v)
+    indexes = build_indexes(graph)
+    for direction, held in (("out", indexes.out), ("in", indexes.into)):
+        held[EdgeType.DEPENDENCY] = {
+            node: tuple(sorted(others))
+            for node, others in adjacency[EdgeType.DEPENDENCY, direction].items()
+            if others
+        }
+    return QueryEngine.pinned(indexes), attrs, adjacency
+
+
+_OPERATORS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt, ">=": operator.ge}
+
+
+def _comparisons(var):
+    """``(var, attr, op, literal)`` for one comparison on ``var``."""
+    return st.one_of(
+        st.tuples(
+            st.just("ecosystem"),
+            st.sampled_from(["=", "!="]),
+            st.sampled_from(_ECOSYSTEMS),
+        ),
+        st.tuples(st.just("name"), st.just("="), st.integers(0, 6).map("pkg{}".format)),
+        st.tuples(
+            st.just("release_day"), st.sampled_from(["<", ">="]), st.integers(0, 100)
+        ),
+    ).map(lambda comparison: (var, *comparison))
+
+
+def _render(comparison):
+    var, attr, op, literal = comparison
+    shown = f"'{literal}'" if isinstance(literal, str) else literal
+    return f"{var}.{attr} {op} {shown}"
+
+
+def _compare(comparison, bound):
+    var, attr, op, literal = comparison
+    return _OPERATORS[op](bound[var][attr], literal)
+
+
+@st.composite
+def chain_queries(draw):
+    """A 2-3 node chain whose WHERE is an AND of comparisons, an OR
+    across two variables, or that OR nested in an AND; returns the query
+    text and what the brute-force reference needs."""
+    variables = ("a", "b", "c")[: draw(st.integers(2, 3))]
+    props = dict.fromkeys(variables)
+    pinned = draw(st.sampled_from((None,) + variables))
+    if pinned is not None:
+        props[pinned] = draw(st.sampled_from(_ECOSYSTEMS))
+    hops = []
+    for _ in variables[1:]:
+        types = tuple(draw(st.lists(st.sampled_from(_CHAIN_TYPES), unique=True)))
+        direction = draw(st.sampled_from(["any", "out", "in"]))
+        span = draw(
+            st.one_of(
+                st.just(None),
+                st.tuples(st.integers(1, 2), st.sampled_from([1, 2, 3, None])).filter(
+                    lambda pair: pair[1] is None or pair[1] >= pair[0]
+                ),
+            )
+        )
+        hops.append((types, direction, span))
+
+    def on_any_variable():
+        return draw(_comparisons(draw(st.sampled_from(variables))))
+
+    shape = draw(st.sampled_from(["and", "or", "nested"]))
+    either = []
+    if shape == "and":
+        # single-variable comparisons on any variable: an indexed
+        # equality may seed the plan at the middle or right variable
+        conjuncts = [on_any_variable() for _ in range(draw(st.integers(1, 3)))]
+    else:
+        left, right = draw(st.permutations(variables))[:2]
+        either = [draw(_comparisons(left)), draw(_comparisons(right))]
+        conjuncts = [on_any_variable()] if shape == "nested" else []
+    parts = [_render(comparison) for comparison in conjuncts]
+    if either:
+        alternatives = " OR ".join(_render(comparison) for comparison in either)
+        parts.append(f"({alternatives})" if conjuncts else alternatives)
+
+    pattern = []
+    for idx, var in enumerate(variables):
+        if idx:
+            types, direction, span = hops[idx - 1]
+            inner = "|".join(t.value for t in types)
+            if span is not None:
+                lo, hi = span
+                inner += f"*{lo}..{'' if hi is None else hi}"
+            head = "<-" if direction == "in" else "-"
+            tail = "->" if direction == "out" else "-"
+            pattern.append(f"{head}[{inner}]{tail}")
+        prop = props[var]
+        pattern.append(f"({var} {{ecosystem: '{prop}'}})" if prop else f"({var})")
+    text = (
+        f"MATCH {''.join(pattern)} WHERE {' AND '.join(parts)} "
+        f"RETURN {', '.join(variables)}"
+    )
+    return text, variables, props, hops, (conjuncts, either)
+
+
+def _distances(adjacency, types, direction, start):
+    """Shortest hop counts from ``start`` (BFS over the chosen maps)."""
+    distance = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for edge_type in types or _CHAIN_TYPES:
+                for other in adjacency[edge_type, direction][node]:
+                    if other not in distance:
+                        distance[other] = distance[node] + 1
+                        nxt.append(other)
+        frontier = nxt
+    return distance
+
+
+def _hop_holds(adjacency, hop, u, v):
+    types, direction, span = hop
+    if span is None:
+        return any(v in adjacency[t, direction][u] for t in types or _CHAIN_TYPES)
+    lo, hi = span
+    found = _distances(adjacency, types, direction, u).get(v)
+    return found is not None and found >= lo and (hi is None or found <= hi)
+
+
+def _reference_rows(attrs, adjacency, variables, props, hops, where):
+    """Every node tuple that satisfies the chain, in canonical order."""
+    conjuncts, either = where
+    rows = []
+    for combo in itertools.product(sorted(attrs), repeat=len(variables)):
+        if any(
+            props[var] and attrs[node]["ecosystem"] != props[var]
+            for var, node in zip(variables, combo)
+        ):
+            continue
+        if not all(
+            _hop_holds(adjacency, hop, combo[idx], combo[idx + 1])
+            for idx, hop in enumerate(hops)
+        ):
+            continue
+        bound = {var: attrs[node] for var, node in zip(variables, combo)}
+        if all(_compare(c, bound) for c in conjuncts) and (
+            not either or any(_compare(c, bound) for c in either)
+        ):
+            rows.append(combo)
+    return sorted(rows)
+
+
+@given(typed_graphs(), chain_queries())
+@settings(max_examples=150, deadline=None)
+def test_multi_hop_where_matches_reference(data, query):
+    engine, attrs, adjacency = data
+    text, *spec = query
+    expected = _reference_rows(attrs, adjacency, *spec)
+    assert list(engine.run(text).rows) == expected, text
+    assert list(engine.run(text, naive=True).rows) == expected, text

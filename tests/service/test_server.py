@@ -15,6 +15,7 @@ from urllib.parse import quote, urlparse
 
 import pytest
 
+from repro.core.query import QueryEngine
 from repro.service.cache import EnrichmentService, build_service
 from repro.service.server import (
     KEEPALIVE_IDLE_S,
@@ -557,6 +558,33 @@ def test_idle_connection_is_closed_after_the_timeout(live, monkeypatch):
         started = time.perf_counter()
         assert reader.read() == b""  # the server hung up on the idle socket
         assert time.perf_counter() - started < 2.0
+
+
+@pytest.mark.parametrize("path", ["/v1/enrich/batch", "/v1/query"])
+def test_stalled_body_gets_a_408_and_the_connection_closes(
+    engine, monkeypatch, capsys, path
+):
+    """A client that declares a body and stops sending it gets a 408, not
+    a 500: the body's end is unknown, so the connection closes."""
+    monkeypatch.setattr(IntelRequestHandler, "timeout", 0.2)
+    queries = QueryEngine.pinned(engine.index.indexes)
+    service = EnrichmentService(engine, capacity=16, query_engine=queries)
+    with _serving(service) as (host, port, _):
+        with _raw_socket(host, port) as (sock, reader):
+            sock.sendall(
+                f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+                "Content-Length: 100\r\n\r\n{".encode()
+            )
+            status, headers, body = _read_reply(reader)
+            assert status == 408
+            assert headers["connection"] == "close"
+            assert "error" in json.loads(body)
+            assert reader.read() == b""
+        with _raw_socket(host, port) as (sock, reader):
+            sock.sendall(b"GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            books = json.loads(_read_reply(reader)[2])["endpoints"]
+    assert books[path]["status"] == {"408": 1}
+    assert capsys.readouterr().err == ""
 
 
 def test_server_close_does_not_wait_for_idle_connections(engine):
