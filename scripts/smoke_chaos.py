@@ -6,8 +6,10 @@ same fault-plan seed and asserts the two DegradationReports are
 byte-identical (bit-reproducible chaos), that the run really degraded,
 and that its internal accounting balances: every injected fault is
 either a recovered or a fatal observed error. Also proves the moderate
-plan recovers completely — its collect exits 0 with ``degraded: false``.
-Exits nonzero on any failure.
+plan recovers completely — its collect exits 0 with ``degraded: false``
+— and that against a real disk cache a degraded collection stays out of
+it (exit 3, ``cache info`` empty) unless ``--allow-degraded`` opts in
+(exit 0, one ``collection`` entry). Exits nonzero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_chaos.py [--seed N] [--scale F]
 """
@@ -104,6 +106,28 @@ def main(argv=None) -> int:
             f"moderate chaos fully recovered "
             f"({moderate['retries']} retries absorbed)"
         )
+
+        # The quarantine against a real disk cache.
+        cache_args = (
+            "--cache-dir", str(Path(tmp) / "cache"),
+            "--seed", str(args.seed),
+            "--scale", str(args.scale),
+        )
+        heavy = (
+            "collect",
+            "--fault-plan", "heavy",
+            "--fault-seed", str(args.fault_seed),
+        )
+        run_cli(*cache_args, *heavy, expect=3)
+        listing = run_cli(*cache_args, "cache", "info")
+        assert "no cached artifacts" in listing, listing
+        print("degraded collection quarantined: nothing cached (exit 3)")
+        run_cli(*cache_args, *heavy, "--allow-degraded")
+        listing = run_cli(*cache_args, "cache", "info")
+        # rows follow the "cache dir:" line and the column header
+        stages = [line.split()[0] for line in listing.splitlines()[2:]]
+        assert stages == ["collection"], listing
+        print("--allow-degraded cached exactly one collection entry")
         print("smoke OK")
     return 0
 

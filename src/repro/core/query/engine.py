@@ -37,10 +37,11 @@ class QueryResult:
         return len(self.rows)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready payload (the ``/v1/query`` response body)."""
+        """JSON-ready payload (the ``/v1/query`` response body); the row
+        tuples go out as they are, since ``json`` encodes them as arrays."""
         return {
             "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
+            "rows": self.rows,
             "row_count": self.row_count,
             "elapsed_ms": round(self.elapsed_ms, 3),
             "plan": self.plan,

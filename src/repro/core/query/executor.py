@@ -305,6 +305,10 @@ def _match_bindings(
         assignment[plan.start] = seed
         extend_right(plan.start)
         assignment[plan.start] = None
+    # The recursive closures reach themselves through their cells; unlink
+    # them so refcounting frees the bindings once the caller is done,
+    # instead of whenever a full cyclic collection next runs.
+    del extend_right, extend_left
 
     bindings.sort()
     return bindings, plan

@@ -64,9 +64,9 @@ class StageRun:
     source: str  # SOURCE_MEMORY | SOURCE_DISK | SOURCE_BUILD | SOURCE_ELIDED
     seconds: float
     fingerprint: str
-    #: process peak RSS (``ru_maxrss``, KiB) sampled when the stage
-    #: resolved; high-water mark, so deltas between rows bound a stage's
-    #: own footprint. ``None`` for rows recorded before the sampler ran.
+    #: process peak RSS (``VmHWM``, KiB; see :func:`current_peak_rss_kb`)
+    #: sampled when the stage resolved; high-water mark, so deltas between
+    #: rows bound a stage's own footprint. ``None`` where unsupported.
     peak_rss_kb: Optional[int] = None
 
     def to_dict(self) -> dict:

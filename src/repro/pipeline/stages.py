@@ -1,23 +1,27 @@
-"""The stage DAG: ``world -> collection -> malgraph`` behind one runtime.
+"""The stage DAG behind one runtime: ``world -> collection -> columnar``
+and ``collection -> malgraph -> malgraph_delta``.
 
 :class:`PipelineRuntime` binds a configuration (``WorldConfig`` +
-``SimilarityConfig``) to an :class:`~repro.pipeline.store.ArtifactStore`
-and a :class:`~repro.pipeline.report.PipelineReport`. Each stage resolves
-through the store — memory tier first, then disk, then a build — and
+``SimilarityConfig``, plus an optional fault plan and retry budget) to an
+:class:`~repro.pipeline.store.ArtifactStore` and a
+:class:`~repro.pipeline.report.PipelineReport`. All five stages resolve
+through one routine — memory tier first, then disk, then a build — and
 every resolution is recorded in the report with its wall time.
 
 The world stage is memory-only (a :class:`~repro.world.World` holds live
 registries, mirrors and a simulated web; persisting it buys nothing the
-downstream artifacts don't already capture). The collection and malgraph
-stages persist to disk through the :mod:`repro.io` JSON formats, which
-is what makes a warmed cache survive into new processes.
+downstream artifacts don't already capture). The other four persist to
+disk, which is what makes a warmed cache survive into new processes. An
+artifact built from a degraded collection resolves for the call but
+enters neither tier unless the runtime was created with
+``allow_degraded``.
 """
 
 from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.columnar import ColumnarMalwareDataset
@@ -41,7 +45,7 @@ from repro.pipeline.report import (
     STATUS_MISS,
 )
 from repro.pipeline.store import ArtifactStore
-from repro.world import World, WorldConfig, build_world, collect
+from repro.world import World, WorldConfig, build_world, run_collection
 
 STAGE_WORLD = "world"
 STAGE_COLLECTION = "collection"
@@ -54,6 +58,24 @@ STAGE_COLUMNAR = "columnar"
 
 #: Resolution order; each stage's direct input is the one before it.
 STAGES = (STAGE_WORLD, STAGE_COLLECTION, STAGE_MALGRAPH)
+
+#: What each cold stage's artifact depends on beyond the WorldConfig.
+#: The world is untouched by fault injection (faults wrap its finished
+#: substrates at collection time); the columnar tier re-encodes the
+#: collection losslessly, so it shares that stage's inputs.
+_INPUTS = {
+    STAGE_WORLD: (),
+    STAGE_COLLECTION: ("fault_plan", "max_retries"),
+    STAGE_COLUMNAR: ("fault_plan", "max_retries"),
+    STAGE_MALGRAPH: ("similarity", "fault_plan", "max_retries"),
+}
+
+#: Upstream stages a cache hit makes unnecessary (reported as elided).
+_ELIDES = {
+    STAGE_COLLECTION: (STAGE_WORLD,),
+    STAGE_COLUMNAR: (STAGE_COLLECTION, STAGE_WORLD),
+    STAGE_MALGRAPH: (STAGE_COLLECTION, STAGE_WORLD),
+}
 
 
 class CollectionCodec:
@@ -86,10 +108,13 @@ class CollectionCodec:
 
 class MalGraphCodec:
     """Disk format for a built MALGRAPH; loading re-links the graph's
-    group structures against the dataset the graph was built from."""
+    group structures against the dataset the graph was built from and
+    stamps the ``SimilarityConfig`` it was built with (the payload holds
+    none, and later deltas must cluster with it)."""
 
-    def __init__(self, dataset: MalwareDataset):
+    def __init__(self, dataset: MalwareDataset, similarity: SimilarityConfig):
         self.dataset = dataset
+        self.similarity = similarity
 
     def save(self, malgraph: MalGraph, directory: Path) -> None:
         from repro.io.malgraphs import save_malgraph
@@ -99,7 +124,9 @@ class MalGraphCodec:
     def load(self, directory: Path) -> MalGraph:
         from repro.io.malgraphs import load_malgraph
 
-        return load_malgraph(directory, self.dataset)
+        malgraph = load_malgraph(directory, self.dataset)
+        malgraph.similarity_config = self.similarity
+        return malgraph
 
 
 class ColumnarCodec:
@@ -127,7 +154,11 @@ class MalGraphBundleCodec:
     """Disk format for a delta-evolved MALGRAPH: dataset + graph in one
     directory. Unlike :class:`MalGraphCodec`, the dataset travels with
     the graph — an evolved dataset has no collection fingerprint of its
-    own to re-link against."""
+    own to re-link against. Loading stamps the ``SimilarityConfig``
+    later deltas cluster with, as :class:`MalGraphCodec` does."""
+
+    def __init__(self, similarity: SimilarityConfig):
+        self.similarity = similarity
 
     def save(self, malgraph: MalGraph, directory: Path) -> None:
         from repro.io.malgraphs import save_malgraph_bundle
@@ -137,7 +168,9 @@ class MalGraphBundleCodec:
     def load(self, directory: Path) -> MalGraph:
         from repro.io.malgraphs import load_malgraph_bundle
 
-        return load_malgraph_bundle(directory)
+        malgraph = load_malgraph_bundle(directory)
+        malgraph.similarity_config = self.similarity
+        return malgraph
 
 
 class PipelineRuntime:
@@ -162,13 +195,14 @@ class PipelineRuntime:
         self.store = store if store is not None else _pipeline.get_store()
         self.report = report if report is not None else _pipeline.get_report()
         #: Chaos knobs (repro.reliability.FaultPlan / RetryPolicy). The
-        #: plan and retry budget are part of the collection/malgraph
-        #: fingerprints — a chaos run never aliases a clean artifact.
+        #: plan and retry budget are part of the fingerprint of every
+        #: stage after the world — a chaos run never aliases a clean
+        #: artifact.
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy
-        #: A degraded collection artifact is refused by the cache unless
-        #: the caller opts in (it would silently poison every downstream
-        #: consumer of that fingerprint otherwise).
+        #: An artifact built from a degraded collection is refused by the
+        #: cache unless the caller opts in (it would silently poison every
+        #: downstream consumer of that fingerprint otherwise).
         self.allow_degraded = allow_degraded
         #: head of the delta chain: (fingerprint, malgraph) of the last
         #: advance(); None until the first advance
@@ -176,61 +210,44 @@ class PipelineRuntime:
         self._head_malgraph: Optional[MalGraph] = None
 
     # -- fingerprints ------------------------------------------------------
-    def _max_retries(self) -> Optional[int]:
-        if self.retry_policy is None:
-            return None
-        return self.retry_policy.max_retries
+    def _inputs(self, stage: str) -> dict:
+        known = {
+            "similarity": self.similarity,
+            "fault_plan": self.fault_plan,
+            "max_retries": getattr(self.retry_policy, "max_retries", None),
+        }
+        return {name: known[name] for name in _INPUTS[stage]}
 
     def fingerprint(self, stage: str) -> str:
-        if stage == STAGE_MALGRAPH:
-            return fingerprint(
-                stage,
-                self.config,
-                self.similarity,
-                fault_plan=self.fault_plan,
-                max_retries=self._max_retries(),
-            )
-        if stage in (STAGE_COLLECTION, STAGE_COLUMNAR):
-            # The columnar tier is a lossless re-encoding of the
-            # collection output, so it shares that stage's inputs.
-            return fingerprint(
-                stage,
-                self.config,
-                fault_plan=self.fault_plan,
-                max_retries=self._max_retries(),
-            )
-        # The world stage is untouched by fault injection: faults wrap the
-        # finished world's substrates at collection time.
-        return fingerprint(stage, self.config)
+        return fingerprint(stage, self.config, **self._inputs(stage))
 
     def _config_payload(self, stage: str) -> dict:
-        if stage == STAGE_MALGRAPH:
-            return config_payload(
-                self.config,
-                self.similarity,
-                fault_plan=self.fault_plan,
-                max_retries=self._max_retries(),
-            )
-        if stage in (STAGE_COLLECTION, STAGE_COLUMNAR):
-            return config_payload(
-                self.config,
-                fault_plan=self.fault_plan,
-                max_retries=self._max_retries(),
-            )
-        return config_payload(self.config)
+        return config_payload(self.config, **self._inputs(stage))
 
     # -- public stage accessors -------------------------------------------
     def world(self) -> World:
-        return self._resolve_world()
+        return self._resolve(STAGE_WORLD, lambda _: build_world(self.config))
 
     def collection(self) -> CollectionResult:
-        return self._resolve_collection()
+        return self._resolve(
+            STAGE_COLLECTION,
+            lambda world: run_collection(
+                world, self.fault_plan, self.retry_policy
+            ),
+            upstream=self.world,
+            codec=CollectionCodec(),
+        )
 
     def dataset(self) -> MalwareDataset:
         return self.collection().dataset
 
     def malgraph(self) -> MalGraph:
-        return self._resolve_malgraph()
+        return self._resolve(
+            STAGE_MALGRAPH,
+            self._build_malgraph,
+            upstream=self.collection,
+            codec=lambda result: MalGraphCodec(result.dataset, self.similarity),
+        )
 
     def columnar(self) -> "ColumnarMalwareDataset":
         """The collected dataset as a columnar corpus (lazy facade).
@@ -241,7 +258,16 @@ class PipelineRuntime:
         parsed — the defining win of the columnar tier for analysis-only
         processes.
         """
-        return self._resolve_columnar()
+        from repro.core.columnar import ColumnarDataset, ColumnarMalwareDataset
+
+        return self._resolve(
+            STAGE_COLUMNAR,
+            lambda result: ColumnarMalwareDataset(
+                ColumnarDataset.from_dataset(result.dataset)
+            ),
+            upstream=self.collection,
+            codec=ColumnarCodec(),
+        )
 
     def warm(self) -> "PipelineRuntime":
         """Resolve the full analysis path (persisting what is cacheable)."""
@@ -256,44 +282,53 @@ class PipelineRuntime:
         fingerprint chained with the batch hash — so re-running the same
         event sequence resolves from cache tier-by-tier exactly like the
         cold stages. Successive calls chain: each advance's output is
-        the next one's base.
+        the next one's base. Its input is a graph, whose degraded state
+        the runtime does not track, so the result is always cached.
         """
         from repro.core.delta.events import event_batch_hash
 
         events = list(events)
+        batch_hash = event_batch_hash(events)
         base_fp = (
             self._head_fingerprint
             if self._head_fingerprint is not None
             else self.fingerprint(STAGE_MALGRAPH)
         )
-        fp = delta_fingerprint(base_fp, event_batch_hash(events))
-        started = time.perf_counter()
-        held = self.store.get_memory(STAGE_DELTA, fp)
-        if held is not None:
-            self._set_head(fp, held)
-            self.report.record(
-                STAGE_DELTA, STATUS_HIT, SOURCE_MEMORY,
-                time.perf_counter() - started, fp,
-            )
-            return held
-        codec = MalGraphBundleCodec()
-        if self.store.has_disk(STAGE_DELTA, fp):
-            held = self.store.get_disk(STAGE_DELTA, fp, codec)
-            if held is not None:
-                held.similarity_config = self.similarity
-                self.store.put_memory(STAGE_DELTA, fp, held)
-                self._set_head(fp, held)
-                self.report.record(
-                    STAGE_DELTA, STATUS_HIT, SOURCE_DISK,
-                    time.perf_counter() - started, fp,
-                )
-                return held
-        base = (
-            self._head_malgraph
-            if self._head_malgraph is not None
-            else self.malgraph()
+        fp = delta_fingerprint(base_fp, batch_hash)
+        payload = self._config_payload(STAGE_MALGRAPH)
+        payload["delta"] = {
+            "base": base_fp,
+            "batch_hash": batch_hash,
+            "events": len(events),
+        }
+        updated = self._resolve(
+            STAGE_DELTA,
+            lambda base: self._apply_delta(base, events),
+            upstream=lambda: (
+                self._head_malgraph
+                if self._head_malgraph is not None
+                else self.malgraph()
+            ),
+            codec=MalGraphBundleCodec(self.similarity),
+            fp=fp,
+            payload=payload,
         )
-        started = time.perf_counter()
+        self._head_fingerprint = fp
+        self._head_malgraph = updated
+        return updated
+
+    # -- builds ------------------------------------------------------------
+    def _build_malgraph(self, result: CollectionResult) -> MalGraph:
+        malgraph = MalGraph.build(
+            result.dataset, self.similarity, store=self.store
+        )
+        timings = malgraph.similar.clustering.timings
+        if timings is not None:
+            for name, seconds, detail in timings.rows():
+                self.report.record_substage(STAGE_MALGRAPH, name, seconds, detail)
+        return malgraph
+
+    def _apply_delta(self, base: MalGraph, events) -> MalGraph:
         updated, delta_report = base.apply_delta(
             events, store=self.store, similarity=self.similarity
         )
@@ -301,36 +336,65 @@ class PipelineRuntime:
             STAGE_DELTA, "apply_delta", delta_report.seconds,
             {"summary": delta_report.summary()},
         )
-        self.store.put_memory(STAGE_DELTA, fp, updated)
-        payload = dict(self._config_payload(STAGE_MALGRAPH))
-        payload["delta"] = {
-            "base": base_fp,
-            "batch_hash": event_batch_hash(events),
-            "events": len(events),
-        }
-        self.store.put_disk(STAGE_DELTA, fp, updated, codec, payload)
-        self.report.record(
-            STAGE_DELTA, STATUS_MISS, SOURCE_BUILD,
-            time.perf_counter() - started, fp,
-        )
-        self._set_head(fp, updated)
         return updated
 
-    def _set_head(self, fp: str, malgraph: MalGraph) -> None:
-        self._head_fingerprint = fp
-        self._head_malgraph = malgraph
+    # -- resolution --------------------------------------------------------
+    def _resolve(
+        self,
+        stage: str,
+        build: Callable[[Any], Any],
+        upstream: Optional[Callable[[], Any]] = None,
+        codec=None,
+        fp: Optional[str] = None,
+        payload: Optional[dict] = None,
+    ) -> Any:
+        """Resolve one stage: the memory tier, then disk, then ``build``.
 
-    # -- bookkeeping -------------------------------------------------------
-    def _record(
-        self, stage: str, status: str, source: str, started: float
-    ) -> None:
-        self.report.record(
-            stage,
-            status,
-            source,
-            time.perf_counter() - started,
-            self.fingerprint(stage),
-        )
+        ``upstream`` resolves the build's input and records its own
+        rows, so this stage's row is timed without it. ``codec`` is the
+        disk format (``None``: memory-only), or a function of the
+        upstream artifact when loading needs that artifact (the malgraph
+        re-links against its dataset) — the upstream then resolves
+        before the disk tier rather than only before a build. ``fp`` and
+        ``payload`` default to the stage's fingerprint and config.
+        """
+        fp = fp if fp is not None else self.fingerprint(stage)
+        started = time.perf_counter()
+        status, source = STATUS_HIT, SOURCE_MEMORY
+        held = self.store.get_memory(stage, fp)
+        base = None
+        if held is None and callable(codec):
+            base = upstream()
+            codec = codec(base)
+            started = time.perf_counter()
+        if held is None and codec is not None and self.store.has_disk(stage, fp):
+            source = SOURCE_DISK
+            held = self.store.get_disk(stage, fp, codec)
+            if held is not None:
+                self.store.put_memory(stage, fp, held)
+        if held is None:
+            status, source = STATUS_MISS, SOURCE_BUILD
+            if base is None and upstream is not None:
+                base = upstream()
+                started = time.perf_counter()
+            held = build(base)
+            # Quarantine: an artifact that is, or was built from, a
+            # degraded collection must not poison the cache — unless the
+            # caller opted in, it resolves for this call and is rebuilt.
+            degraded = any(
+                isinstance(corpus, CollectionResult) and corpus.stats.degraded
+                for corpus in (base, held)
+            )
+            if self.allow_degraded or not degraded:
+                self.store.put_memory(stage, fp, held)
+                if codec is not None:
+                    self.store.put_disk(
+                        stage, fp, held, codec, payload or self._config_payload(stage)
+                    )
+        self.report.record(stage, status, source, time.perf_counter() - started, fp)
+        if status == STATUS_HIT:
+            self._record_elided(*_ELIDES.get(stage, ()))
+        return held
 
     def _record_elided(self, *stages: str) -> None:
         """Stages a cache hit made unnecessary count as zero-cost hits.
@@ -343,130 +407,3 @@ class PipelineRuntime:
             fp = self.fingerprint(stage)
             if (stage, fp) not in resolved:
                 self.report.record(stage, STATUS_HIT, SOURCE_ELIDED, 0.0, fp)
-
-    # -- resolution --------------------------------------------------------
-    def _resolve_world(self) -> World:
-        fp = self.fingerprint(STAGE_WORLD)
-        started = time.perf_counter()
-        world = self.store.get_memory(STAGE_WORLD, fp)
-        if world is not None:
-            self._record(STAGE_WORLD, STATUS_HIT, SOURCE_MEMORY, started)
-            return world
-        world = build_world(self.config)
-        self.store.put_memory(STAGE_WORLD, fp, world)
-        self._record(STAGE_WORLD, STATUS_MISS, SOURCE_BUILD, started)
-        return world
-
-    def _resolve_collection(self) -> CollectionResult:
-        fp = self.fingerprint(STAGE_COLLECTION)
-        started = time.perf_counter()
-        result = self.store.get_memory(STAGE_COLLECTION, fp)
-        if result is not None:
-            self._record(STAGE_COLLECTION, STATUS_HIT, SOURCE_MEMORY, started)
-            self._record_elided(STAGE_WORLD)
-            return result
-        codec = CollectionCodec()
-        if self.store.has_disk(STAGE_COLLECTION, fp):
-            result = self.store.get_disk(STAGE_COLLECTION, fp, codec)
-            if result is not None:
-                self.store.put_memory(STAGE_COLLECTION, fp, result)
-                self._record(STAGE_COLLECTION, STATUS_HIT, SOURCE_DISK, started)
-                self._record_elided(STAGE_WORLD)
-                return result
-        world = self._resolve_world()
-        started = time.perf_counter()
-        if self.fault_plan is not None:
-            from repro.world import run_collection
-
-            result = run_collection(
-                world, plan=self.fault_plan, policy=self.retry_policy
-            )
-        else:
-            result = collect(world)
-        if result.stats.degraded and not self.allow_degraded:
-            # Quarantine: a degraded artifact must not poison the cache —
-            # it resolves for this call only and is rebuilt next time.
-            self._record(STAGE_COLLECTION, STATUS_MISS, SOURCE_BUILD, started)
-            return result
-        self.store.put_memory(STAGE_COLLECTION, fp, result)
-        self.store.put_disk(
-            STAGE_COLLECTION, fp, result, codec, self._config_payload(STAGE_COLLECTION)
-        )
-        self._record(STAGE_COLLECTION, STATUS_MISS, SOURCE_BUILD, started)
-        return result
-
-    def _resolve_columnar(self) -> "ColumnarMalwareDataset":
-        fp = self.fingerprint(STAGE_COLUMNAR)
-        started = time.perf_counter()
-        held = self.store.get_memory(STAGE_COLUMNAR, fp)
-        if held is not None:
-            self._record(STAGE_COLUMNAR, STATUS_HIT, SOURCE_MEMORY, started)
-            self._record_elided(STAGE_COLLECTION, STAGE_WORLD)
-            return held
-        codec = ColumnarCodec()
-        if self.store.has_disk(STAGE_COLUMNAR, fp):
-            held = self.store.get_disk(STAGE_COLUMNAR, fp, codec)
-            if held is not None:
-                self.store.put_memory(STAGE_COLUMNAR, fp, held)
-                self._record(STAGE_COLUMNAR, STATUS_HIT, SOURCE_DISK, started)
-                self._record_elided(STAGE_COLLECTION, STAGE_WORLD)
-                return held
-        from repro.core.columnar import ColumnarDataset, ColumnarMalwareDataset
-
-        result = self._resolve_collection()
-        started = time.perf_counter()
-        held = ColumnarMalwareDataset(
-            ColumnarDataset.from_dataset(result.dataset)
-        )
-        if result.stats.degraded and not self.allow_degraded:
-            # Same quarantine as the collection stage: a degraded corpus
-            # must not become a cached columnar artifact.
-            self._record(STAGE_COLUMNAR, STATUS_MISS, SOURCE_BUILD, started)
-            return held
-        self.store.put_memory(STAGE_COLUMNAR, fp, held)
-        self.store.put_disk(
-            STAGE_COLUMNAR, fp, held, codec, self._config_payload(STAGE_COLUMNAR)
-        )
-        self._record(STAGE_COLUMNAR, STATUS_MISS, SOURCE_BUILD, started)
-        return held
-
-    def _resolve_malgraph(self) -> MalGraph:
-        fp = self.fingerprint(STAGE_MALGRAPH)
-        started = time.perf_counter()
-        malgraph = self.store.get_memory(STAGE_MALGRAPH, fp)
-        if malgraph is not None:
-            self._record(STAGE_MALGRAPH, STATUS_HIT, SOURCE_MEMORY, started)
-            self._record_elided(STAGE_COLLECTION, STAGE_WORLD)
-            return malgraph
-        if self.store.has_disk(STAGE_MALGRAPH, fp):
-            # Loading needs the dataset, so the collection stage resolves
-            # (and reports) itself; only stages nothing touched are elided.
-            dataset = self.dataset()
-            started = time.perf_counter()
-            malgraph = self.store.get_disk(
-                STAGE_MALGRAPH, fp, MalGraphCodec(dataset)
-            )
-            if malgraph is not None:
-                # the disk format holds no SimilarityConfig; later deltas
-                # must cluster with the one the graph was built with
-                malgraph.similarity_config = self.similarity
-                self.store.put_memory(STAGE_MALGRAPH, fp, malgraph)
-                self._record(STAGE_MALGRAPH, STATUS_HIT, SOURCE_DISK, started)
-                return malgraph
-        dataset = self.dataset()
-        started = time.perf_counter()
-        malgraph = MalGraph.build(dataset, self.similarity, store=self.store)
-        timings = malgraph.similar.clustering.timings
-        if timings is not None:
-            for name, seconds, detail in timings.rows():
-                self.report.record_substage(STAGE_MALGRAPH, name, seconds, detail)
-        self.store.put_memory(STAGE_MALGRAPH, fp, malgraph)
-        self.store.put_disk(
-            STAGE_MALGRAPH,
-            fp,
-            malgraph,
-            MalGraphCodec(dataset),
-            self._config_payload(STAGE_MALGRAPH),
-        )
-        self._record(STAGE_MALGRAPH, STATUS_MISS, SOURCE_BUILD, started)
-        return malgraph

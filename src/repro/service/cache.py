@@ -274,22 +274,15 @@ class EnrichmentService:
         """Install ``index`` as the next generation (writer-lock held).
 
         Wraps the index in a fresh engine carrying the outgoing engine's
-        tuning (squat index, distances), pins a query engine (when the
-        service has one) to the index's own query-index snapshot, bumps
-        the generation, swaps the snapshot with one assignment and
-        clears the cache — old-generation entries would never be looked
-        up again anyway (keys are generation-tagged), clearing just
-        returns the memory.
+        source health, pins a query engine (when the service has one) to
+        the index's own query-index snapshot, bumps the generation, swaps
+        the snapshot with one assignment and clears the cache —
+        old-generation entries would never be looked up again anyway
+        (keys are generation-tagged), clearing just returns the memory.
         """
         with self.lock:
             old = self._snapshot
-            engine = EnrichmentEngine(
-                index,
-                squat_index=old.engine.squat_index,
-                near_distance=old.engine.near_distance,
-                related_limit=old.engine.related_limit,
-                source_health=old.engine.source_health,
-            )
+            engine = EnrichmentEngine(index, source_health=old.engine.source_health)
             snapshot = ServiceSnapshot(
                 generation=old.generation + 1,
                 engine=engine,

@@ -30,6 +30,15 @@ VERDICT_MALICIOUS = "malicious"
 VERDICT_SUSPICIOUS = "suspicious"
 VERDICT_UNKNOWN = "unknown"
 
+#: Edit distance within which an unmatched name is near a known
+#: malicious name (a ``near-known`` suspicious verdict).
+NEAR_DISTANCE = 2
+#: Cap on the related indicators one verdict lists.
+RELATED_LIMIT = 25
+#: Popular-name index for the typosquat check; read-only, so one
+#: instance serves every engine of every published generation.
+SQUAT_INDEX = TyposquatIndex()
+
 
 @dataclass(frozen=True)
 class Indicator:
@@ -151,18 +160,12 @@ def _seen_window(entries: Sequence[DatasetEntry]) -> Tuple[Optional[int], Option
 class EnrichmentEngine:
     """Resolves indicators against the index (no caching here)."""
 
+    squat_index = SQUAT_INDEX
+
     def __init__(
-        self,
-        index: IntelIndex,
-        squat_index: Optional[TyposquatIndex] = None,
-        near_distance: int = 2,
-        related_limit: int = 25,
-        source_health: Optional[Dict[str, Dict]] = None,
+        self, index: IntelIndex, source_health: Optional[Dict[str, Dict]] = None
     ):
         self.index = index
-        self.squat_index = squat_index or TyposquatIndex()
-        self.near_distance = near_distance
-        self.related_limit = related_limit
         #: per-source lifecycle health (connector key ->
         #: ``SourceHealth.to_dict()``) from the collection run that built
         #: the backing artifact. When set, every source row's
@@ -212,7 +215,7 @@ class EnrichmentEngine:
         """Suspicious verdict for near-miss names, or None if clean."""
         name = indicator.name or ""
         near = self.index.near_names(
-            name, indicator.ecosystem, max_distance=self.near_distance
+            name, indicator.ecosystem, max_distance=NEAR_DISTANCE
         )
         if near:
             nearest, distance = near[0]
@@ -221,9 +224,7 @@ class EnrichmentEngine:
             return EnrichmentResult(
                 indicator=indicator,
                 verdict=VERDICT_SUSPICIOUS,
-                related=sorted(node_id(e.package) for e in entries)[
-                    : self.related_limit
-                ],
+                related=sorted(node_id(e.package) for e in entries)[:RELATED_LIMIT],
                 sources=self._source_rows(entries),
                 first_seen_day=first,
                 last_seen_day=last,
@@ -261,7 +262,7 @@ class EnrichmentEngine:
                 families.extend(self.index.families_of(entry.package))
                 campaigns.extend(self.index.campaigns_of(entry.package))
                 actors.extend(self.index.actors_of(entry.package))
-                related.extend(self.index.related(entry.package, self.related_limit))
+                related.extend(self.index.related(entry.package, RELATED_LIMIT))
             first, last = _seen_window(entries)
             match_set = set(matches)
             return EnrichmentResult(
@@ -271,7 +272,7 @@ class EnrichmentEngine:
                 families=sorted(set(families)),
                 campaigns=sorted(set(campaigns)),
                 actors=sorted(set(actors)),
-                related=sorted(set(related) - match_set)[: self.related_limit],
+                related=sorted(set(related) - match_set)[:RELATED_LIMIT],
                 sources=self._source_rows(entries),
                 first_seen_day=first,
                 last_seen_day=last,

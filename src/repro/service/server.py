@@ -33,10 +33,10 @@ Request hygiene (what a production front end cannot ship without):
 * bodies are capped at ``max_body_bytes`` **before** the read — an
   oversized ``Content-Length`` answers ``413`` without buffering or
   parsing a single byte of payload;
-* ``/v1/enrich`` query strings keep blank values (``?name=&sha256=x``
-  rejects the blank ``name`` instead of silently dropping it), reject
-  repeated parameters instead of silently taking the first, and reject
-  unknown parameter names.
+* ``/v1/enrich`` and ``/v1/feed`` query strings keep blank values
+  (``?name=&sha256=x`` rejects the blank ``name`` instead of silently
+  dropping it), reject repeated parameters instead of silently taking
+  the first, and reject unknown parameter names.
 
 With ``rate_limit`` set, every non-``/v1/healthz`` request first passes
 a per-client token bucket (:mod:`repro.service.ratelimit`); a client
@@ -343,34 +343,30 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._guarded(self._route_get)
 
-    def _enrich_params(self, query: str) -> Optional[Dict[str, str]]:
-        """Validated /v1/enrich query parameters, or None (400 sent).
+    def _query_params(
+        self, query: str, known: Tuple[str, ...]
+    ) -> Optional[Dict[str, str]]:
+        """One value per query parameter, or None (400 sent).
 
         ``keep_blank_values`` stops ``parse_qs`` silently dropping
-        ``?name=&sha256=x`` style blanks (a blank is an explicit client
-        mistake worth a 400, not a missing key), repeated parameters are
-        rejected instead of silently taking the first value, and unknown
-        parameter names are rejected instead of silently ignored.
+        ``?name=&sha256=x`` style blanks (each route decides what a
+        blank means), repeated parameters are rejected instead of
+        silently taking the first value, and parameter names outside
+        ``known`` are rejected instead of silently ignored.
         """
         pairs = parse_qs(query, keep_blank_values=True)
-        unknown = sorted(k for k in pairs if k not in ENRICH_PARAMS)
+        unknown = sorted(k for k in pairs if k not in known)
         if unknown:
             self._error(
                 400,
                 f"unknown query parameter(s): {', '.join(unknown)} "
-                f"(expected {', '.join(ENRICH_PARAMS)})",
+                f"(expected {', '.join(known)})",
             )
             return None
         repeated = sorted(k for k, v in pairs.items() if len(v) > 1)
         if repeated:
             self._error(
                 400, f"repeated query parameter(s): {', '.join(repeated)}"
-            )
-            return None
-        blank = sorted(k for k, v in pairs.items() if v[0] == "")
-        if blank:
-            self._error(
-                400, f"blank value for query parameter(s): {', '.join(blank)}"
             )
             return None
         return {k: v[0] for k, v in pairs.items()}
@@ -402,8 +398,15 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         elif url.path == "/v1/metrics":
             self._reply(200, self.metrics.snapshot())
         elif url.path == "/v1/enrich":
-            params = self._enrich_params(url.query)
+            params = self._query_params(url.query, ENRICH_PARAMS)
             if params is None:
+                return
+            # a blank is an explicit client mistake, not a missing key
+            blank = sorted(k for k, v in params.items() if v == "")
+            if blank:
+                self._error(
+                    400, f"blank value for query parameter(s): {', '.join(blank)}"
+                )
                 return
             indicator = Indicator.from_dict(params)
             if indicator.is_empty:
@@ -428,27 +431,15 @@ class IntelRequestHandler(BaseHTTPRequestHandler):
         if exporter is None:
             self._error(503, "feed exporter not configured on this service")
             return
-        pairs = parse_qs(query, keep_blank_values=True)
-        unknown = sorted(k for k in pairs if k not in FEED_PARAMS)
-        if unknown:
-            self._error(
-                400,
-                f"unknown query parameter(s): {', '.join(unknown)} "
-                f"(expected {', '.join(FEED_PARAMS)})",
-            )
+        params = self._query_params(query, FEED_PARAMS)
+        if params is None:
             return
-        repeated = sorted(k for k, v in pairs.items() if len(v) > 1)
-        if repeated:
-            self._error(
-                400, f"repeated query parameter(s): {', '.join(repeated)}"
-            )
-            return
-        cursor = pairs.get("cursor", [None])[0]
+        cursor = params.get("cursor")
         if cursor == "":
             self._error(400, "blank value for query parameter(s): cursor")
             return
         limit: Optional[int] = None
-        raw_limit = pairs.get("limit", [None])[0]
+        raw_limit = params.get("limit")
         if raw_limit is not None:
             try:
                 limit = int(raw_limit)

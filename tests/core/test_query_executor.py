@@ -7,6 +7,7 @@ seeded so failures reproduce.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -202,6 +203,22 @@ def test_pushed_down_where_is_not_rechecked(seeded, engine, monkeypatch):
     calls.clear()
     engine.run(conjunction, naive=True)
     assert len(calls) >= chains
+
+
+def test_match_leaves_no_reference_cycle(engine):
+    """A finished query's bindings are freed by refcounting, not held
+    until a full cyclic collection, which a process holding a large
+    graph runs rarely."""
+    pattern = "MATCH (a)-[similar]-(b)-[coexisting]-(c) RETURN c"
+    engine.run(pattern)  # builds the lazy indexes outside the check
+    gc.collect()
+    gc.disable()
+    try:
+        for naive in (False, True):
+            assert engine.run(pattern, naive=naive).rows
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

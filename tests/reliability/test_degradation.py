@@ -147,6 +147,29 @@ def test_degraded_artifact_is_not_cached_by_default(tmp_path):
     assert rt.report.counts()["collection"]["misses"] == 2  # rebuilt, not hit
 
 
+@pytest.mark.parametrize("allow_degraded", [False, True])
+def test_malgraph_of_a_degraded_corpus_is_quarantined_too(
+    tmp_path, allow_degraded
+):
+    """The quarantine covers the graph built from a degraded collection,
+    not only the collection itself."""
+    rt = runtime(
+        tmp_path,
+        fault_plan=FaultPlan.heavy(PLAN_SEED),
+        allow_degraded=allow_degraded,
+    )
+    assert rt.collection().stats.degraded
+    rt.malgraph()
+    fp = rt.fingerprint("malgraph")
+    assert (rt.store.get_memory("malgraph", fp) is not None) is allow_degraded
+    assert rt.store.has_disk("malgraph", fp) is allow_degraded
+    rt.malgraph()
+    expected = (
+        {"hits": 1, "misses": 1} if allow_degraded else {"hits": 0, "misses": 2}
+    )
+    assert rt.report.counts()["malgraph"] == expected
+
+
 def test_allow_degraded_opts_into_caching(tmp_path):
     rt = runtime(
         tmp_path, fault_plan=FaultPlan.heavy(PLAN_SEED), allow_degraded=True

@@ -226,7 +226,15 @@ def test_http_feed_paginates(live_feed):
 
 @pytest.mark.parametrize(
     "query",
-    ["limit=0", "limit=2000", "limit=abc", "cursor=", "cursor=!!!", "foo=1"],
+    [
+        "limit=0",
+        "limit=2000",
+        "limit=abc",
+        "limit=1&limit=2",
+        "cursor=",
+        "cursor=!!!",
+        "foo=1",
+    ],
 )
 def test_http_feed_rejects_bad_requests(live_feed, query):
     base, _ = live_feed
