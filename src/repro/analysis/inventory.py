@@ -74,8 +74,9 @@ def compute_source_inventory(dataset: MalwareDataset) -> SourceInventory:
     artifact (from any origin), mirroring the paper's bookkeeping.
     """
     rows: List[SourceInventoryRow] = []
+    by_source = dataset.entries_by_source()
     for profile in SOURCE_PROFILES:
-        entries = dataset.entries_of_source(profile.key)
+        entries = by_source.get(profile.key, [])
         available = sum(1 for e in entries if e.available)
         rows.append(
             SourceInventoryRow(

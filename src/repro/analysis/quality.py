@@ -140,8 +140,9 @@ class MissingRateTable:
 def compute_missing_rates(dataset: MalwareDataset) -> MissingRateTable:
     """Single vs overall missing rate per source (Table VI)."""
     rows: List[MissingRateRow] = []
+    by_source = dataset.entries_by_source()
     for profile in SOURCE_PROFILES:
-        entries = dataset.entries_of_source(profile.key)
+        entries = by_source.get(profile.key, [])
         if not entries:
             rows.append(
                 MissingRateRow(

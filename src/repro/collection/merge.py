@@ -37,14 +37,7 @@ semantics over arrays and is what the scaling benchmark exercises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Set, Tuple
 
 from repro.collection.records import (
     CollectedReport,
@@ -214,9 +207,7 @@ class DatasetDiff:
 
 
 def events_from_datasets(
-    old: MalwareDataset,
-    new: MalwareDataset,
-    touched: Optional[Iterable[PackageId]] = None,
+    old: MalwareDataset, new: MalwareDataset
 ) -> List["GraphEvent"]:
     """The event batch that carries ``old`` to ``new``'s contents.
 
@@ -228,13 +219,7 @@ def events_from_datasets(
     the order the delta engine's correctness contract anchors on.
 
     Updates compare serialised entries, so a re-collection that changed
-    nothing emits nothing. ``touched``, when given, is a superset of the
-    keys whose knowledge may have changed (e.g. the keys the simulator's
-    tick log mentions): keys present on both sides but outside
-    ``touched`` skip the O(entry) serialised comparison entirely, which
-    is what lets a scale-100 tick window diff in O(delta) instead of
-    O(corpus). Additions and removals are always detected from the full
-    key sets (those are O(keys), not O(records)).
+    nothing emits nothing.
     """
     from repro.core.delta.events import GraphEvent
     from repro.io.datasets import entry_to_dict
@@ -243,15 +228,12 @@ def events_from_datasets(
     old_key_order = old.package_keys()
     new_keys = set(new.package_keys())
     old_keys = set(old_key_order)
-    touched_keys = set(touched) if touched is not None else None
     for key in old_key_order:
         if key not in new_keys:
             events.append(GraphEvent.package_removed(key))
     for entry in new.entries:
         if entry.package not in old_keys:
             events.append(GraphEvent.package_added(entry))
-            continue
-        if touched_keys is not None and entry.package not in touched_keys:
             continue
         counterpart = old.get(entry.package)
         if entry_to_dict(entry) != entry_to_dict(counterpart):

@@ -118,8 +118,20 @@ class MalwareDataset:
     def for_ecosystem(self, ecosystem: str) -> List[DatasetEntry]:
         return [e for e in self.entries if e.package.ecosystem == ecosystem]
 
+    def entries_by_source(self) -> Dict[str, List[DatasetEntry]]:
+        """Source key -> the entries it claims, in entry order.
+
+        One pass over the entries; an entry is listed once under each
+        distinct source among its claims.
+        """
+        grouped: Dict[str, List[DatasetEntry]] = {}
+        for entry in self.entries:
+            for source in entry.sources:
+                grouped.setdefault(source, []).append(entry)
+        return grouped
+
     def entries_of_source(self, source: str) -> List[DatasetEntry]:
-        return [e for e in self.entries if e.claimed_by(source)]
+        return self.entries_by_source().get(source, [])
 
     def source_keys(self) -> List[str]:
         keys: Set[str] = set()

@@ -18,10 +18,7 @@ removed, report ingested) into a surgical update of an existing
   compared;
 * :mod:`repro.core.delta.engine` — :func:`apply_delta`, the correctness
   anchor: its output is byte-identical after canonical serialisation to
-  a cold ``MalGraph.build`` over the post-events collection;
-* :mod:`repro.core.delta.stream` — tick-log streaming: the simulator's
-  registry event logs become the ``touched`` hint that lets a window
-  diff in O(delta) instead of O(corpus).
+  a cold ``MalGraph.build`` over the post-events collection.
 """
 
 from repro.core.delta.engine import DeltaReport, apply_delta
@@ -33,11 +30,6 @@ from repro.core.delta.events import (
     events_to_jsonl,
     events_from_jsonl,
 )
-from repro.core.delta.stream import (
-    RegistryTickStream,
-    graph_events_between,
-    registry_touched_keys,
-)
 from repro.core.delta.unionfind import EpochUnionFind
 
 __all__ = [
@@ -45,12 +37,9 @@ __all__ = [
     "EpochUnionFind",
     "EventKind",
     "GraphEvent",
-    "RegistryTickStream",
     "apply_delta",
     "apply_events_to_dataset",
     "event_batch_hash",
     "events_from_jsonl",
     "events_to_jsonl",
-    "graph_events_between",
-    "registry_touched_keys",
 ]

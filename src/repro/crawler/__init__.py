@@ -1,4 +1,4 @@
-"""Web-crawler substrate: HTML toolkit, spider, record extraction."""
+"""Web-crawler substrate: HTML writer, spider, single-pass record extraction."""
 
 from repro.crawler.extract import (
     ExtractedReport,
@@ -8,15 +8,13 @@ from repro.crawler.extract import (
     infer_ecosystem,
     is_security_report,
 )
-from repro.crawler.html import MiniSoup, Node, render_page, tag, text
+from repro.crawler.html import render_page, tag, text
 from repro.crawler.spider import CrawlResult, CrawlStats, Spider
 
 __all__ = [
     "CrawlResult",
     "CrawlStats",
     "ExtractedReport",
-    "MiniSoup",
-    "Node",
     "Spider",
     "extract_publish_day",
     "extract_report",

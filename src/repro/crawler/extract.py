@@ -8,6 +8,14 @@ two-tier:
    ``<code>name==version</code>`` items most security blogs use;
 2. **regex fallback** — scan the prose for ``'name' (version x.y.z)``
    mentions when no structured list exists.
+
+A page is read in one regex pass that keeps only what the two tiers
+use: the page text, the first ``<title>`` and the first package list's
+items. No DOM is built. The pages are the simulated web's own
+:func:`repro.crawler.html.render_page` output (the spider rejects any
+page that does not end in ``</html>``), and on them the pass returns
+what the ``html.parser`` DOM extractor it replaced returned, which
+``tests/crawler/dom_oracle.py`` keeps as the oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +23,10 @@ from __future__ import annotations
 import datetime
 import re
 from dataclasses import dataclass, field
+from html import unescape
 from typing import List, Optional, Tuple
 
-from repro.crawler.html import MiniSoup
+from repro.crawler.html import _VOID_TAGS
 from repro.ecosystem.clock import date_to_day
 from repro.ecosystem.package import ECOSYSTEMS
 
@@ -101,28 +110,117 @@ def extract_actor_alias(page_text: str) -> Optional[str]:
     return alias
 
 
+#: A tag of a page: an end tag (group 1: name), a start tag (2: name,
+#: 3: its attributes), or a declaration such as ``<!DOCTYPE html>`` (no
+#: group). Splitting on it leaves the text runs at every fourth piece.
+_TAG_RE = re.compile(
+    r"</([a-zA-Z][^\t\n\r\f />\x00]*)[^>]*>"
+    r"|<([a-zA-Z][^\t\n\r\f />\x00]*)([^>]*)>"
+    r"|<![^>]*>"
+)
+
+#: A ``class`` attribute as the writer renders it: double-quoted, with
+#: every quote inside the value escaped.
+_CLASS_RE = re.compile(r'\sclass="([^"]*)"')
+
+
+def _is_package_list(attrs: str) -> bool:
+    """Whether a start tag's class list (its last ``class``) holds
+    ``package-list``."""
+    classes = _CLASS_RE.findall(attrs)
+    return bool(classes) and "package-list" in unescape(classes[-1]).split()
+
+
+def _read_page(markup: str) -> Tuple[str, str, List[str]]:
+    """One pass over a page: its text, its title and its package items.
+
+    Returns the entity-decoded text runs joined by one space, the text
+    of the first ``<title>``, and the text of every ``<li>`` under the
+    first ``<ul>`` whose class list holds ``package-list``. Elements nest
+    as a tolerant DOM builder nests them: a void tag never opens, an end
+    tag closes everything up to its nearest open match, a closer with no
+    open match is ignored, an unclosed ``<li>`` holds the next one, and
+    ``<x/>`` opens and closes at once.
+
+    The input is markup as :func:`repro.crawler.html.render_page` writes
+    it, where text is escaped, so every ``<`` opens a tag.
+    """
+    pieces = _TAG_RE.split(markup)
+    page_text = " ".join(filter(None, pieces[::4]))
+    if "&" in page_text:
+        # A space ends every character reference, so decoding the joined
+        # text decodes each run on its own.
+        page_text = unescape(page_text)
+    stack: List[str] = []  # names of the open elements
+    title: Optional[List[str]] = None  # runs of the first <title>
+    title_at = -1  # its stack index while it is open
+    list_at = -1  # stack index of the first package list while it is open
+    list_seen = False
+    items: List[List[str]] = []  # runs of each <li> in the list
+    open_items: List[Tuple[int, List[str]]] = []  # (stack index, runs)
+    for closing, opening, attrs, run in zip(
+        pieces[1::4], pieces[2::4], pieces[3::4], pieces[4::4]
+    ):
+        if opening is not None:
+            name = opening.lower()
+            if name not in _VOID_TAGS:
+                at = len(stack)
+                stack.append(name)
+                if name == "title":
+                    if title is None:
+                        title, title_at = [], at
+                elif name == "li":
+                    if list_at >= 0:
+                        items.append([])
+                        open_items.append((at, items[-1]))
+                elif name == "ul":
+                    if not list_seen and _is_package_list(attrs):
+                        list_seen, list_at = True, at
+                if attrs.endswith("/"):
+                    closing = opening
+        if closing is not None:
+            name = closing.lower()
+            at = len(stack) - 1
+            while at >= 0 and stack[at] != name:
+                at -= 1
+            if at >= 0:
+                del stack[at:]
+                if title_at >= at:
+                    title_at = -1
+                if list_at >= at:
+                    list_at = -1
+                while open_items and open_items[-1][0] >= at:
+                    open_items.pop()
+        if run and (title_at >= 0 or open_items):
+            if "&" in run:
+                run = unescape(run)
+            if title_at >= 0:
+                title.append(run)
+            for _, parts in open_items:
+                parts.append(run)
+    title_text = "".join(title).strip() if title is not None else ""
+    return page_text, title_text, ["".join(parts) for parts in items]
+
+
 def extract_report(url: str, site: str, html_text: str) -> ExtractedReport:
     """Full extraction for one page."""
-    soup = MiniSoup(html_text)
-    page_text = soup.get_text(" ")
+    page_text, title, items = _read_page(html_text)
     report = ExtractedReport(
         url=url,
         site=site,
         ecosystem=infer_ecosystem(page_text),
         publish_day=extract_publish_day(page_text),
-        title=soup.title,
+        title=title,
         actor_alias=extract_actor_alias(page_text),
     )
     seen = set()
-    package_list = soup.find("ul", class_="package-list")
-    if package_list is not None:
-        for item in package_list.find_all("li"):
-            match = _PIN_RE.match(item.get_text())
-            if match:
-                key = (match.group("name"), match.group("version"))
-                if key not in seen:
-                    seen.add(key)
-                    report.packages.append(key)
+    for item in items:
+        match = _PIN_RE.match(item)
+        if match:
+            key = (match.group("name"), match.group("version"))
+            if key not in seen:
+                seen.add(key)
+                report.packages.append(key)
     if not report.packages:
         for match in _PROSE_RE.finditer(page_text):
             key = (match.group("name"), match.group("version"))

@@ -1,145 +1,23 @@
-"""Minimal HTML toolkit: a writer and a tolerant parser.
+"""Minimal HTML writer for the simulated web.
 
 The paper's pipeline uses BeautifulSoup to parse security-report webpages
-(Section II-B). Offline, we provide the two halves ourselves:
+(Section II-B). Offline, the simulated web renders every page itself:
 
-* :func:`render_page` — render structured content into an HTML document
-  (used by the simulated web to host security reports);
-* :class:`MiniSoup` — a small DOM built on the standard library's
-  ``html.parser``, with the ``find`` / ``find_all`` / ``get_text`` subset
-  of the BeautifulSoup API the extraction code needs.
+* :func:`render_page` renders structured content into an HTML document
+  (the simulated web hosts security reports with it);
+* :func:`tag` and :func:`text` render one element and escape raw text.
+
+Reading pages back is :func:`repro.crawler.extract.extract_report`'s job:
+it takes the writer's own output in one pass, with no DOM.
 """
 
 from __future__ import annotations
 
 import html
-import html.parser
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 _VOID_TAGS = {"br", "hr", "img", "meta", "link", "input"}
 
-
-# ---------------------------------------------------------------------------
-# DOM
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Node:
-    """One element node in the parsed DOM."""
-
-    tag: str
-    attrs: Dict[str, str] = field(default_factory=dict)
-    children: List[Union["Node", str]] = field(default_factory=list)
-    parent: Optional["Node"] = None
-
-    # -- BeautifulSoup-ish API ------------------------------------------------
-    def get_text(self, separator: str = "") -> str:
-        """Concatenated text of this subtree."""
-        parts: List[str] = []
-
-        def walk(node: "Node") -> None:
-            for child in node.children:
-                if isinstance(child, str):
-                    parts.append(child)
-                else:
-                    walk(child)
-
-        walk(self)
-        return separator.join(parts)
-
-    def find_all(
-        self, tag: Optional[str] = None, class_: Optional[str] = None
-    ) -> List["Node"]:
-        """All descendant elements matching tag and/or CSS class."""
-        found: List[Node] = []
-
-        def walk(node: "Node") -> None:
-            for child in node.children:
-                if isinstance(child, str):
-                    continue
-                if (tag is None or child.tag == tag) and (
-                    class_ is None or class_ in child.css_classes
-                ):
-                    found.append(child)
-                walk(child)
-
-        walk(self)
-        return found
-
-    def find(
-        self, tag: Optional[str] = None, class_: Optional[str] = None
-    ) -> Optional["Node"]:
-        """First descendant matching, or None."""
-        matches = self.find_all(tag, class_)
-        return matches[0] if matches else None
-
-    @property
-    def css_classes(self) -> List[str]:
-        return self.attrs.get("class", "").split()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Node {self.tag} children={len(self.children)}>"
-
-
-class _TreeBuilder(html.parser.HTMLParser):
-    """Builds a :class:`Node` tree, tolerant of unclosed tags."""
-
-    def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.root = Node(tag="[document]")
-        self._stack: List[Node] = [self.root]
-
-    def handle_starttag(self, tag: str, attrs) -> None:
-        node = Node(tag=tag, attrs={k: (v or "") for k, v in attrs})
-        node.parent = self._stack[-1]
-        self._stack[-1].children.append(node)
-        if tag not in _VOID_TAGS:
-            self._stack.append(node)
-
-    def handle_endtag(self, tag: str) -> None:
-        # Pop to the nearest matching open tag; ignore stray closers.
-        for idx in range(len(self._stack) - 1, 0, -1):
-            if self._stack[idx].tag == tag:
-                del self._stack[idx:]
-                return
-
-    def handle_data(self, data: str) -> None:
-        if data:
-            self._stack[-1].children.append(data)
-
-
-class MiniSoup:
-    """Parse an HTML document into a queryable DOM."""
-
-    def __init__(self, markup: str):
-        builder = _TreeBuilder()
-        builder.feed(markup)
-        builder.close()
-        self.root = builder.root
-
-    def find_all(
-        self, tag: Optional[str] = None, class_: Optional[str] = None
-    ) -> List[Node]:
-        return self.root.find_all(tag, class_)
-
-    def find(
-        self, tag: Optional[str] = None, class_: Optional[str] = None
-    ) -> Optional[Node]:
-        return self.root.find(tag, class_)
-
-    def get_text(self, separator: str = " ") -> str:
-        return self.root.get_text(separator)
-
-    @property
-    def title(self) -> str:
-        node = self.find("title")
-        return node.get_text().strip() if node else ""
-
-
-# ---------------------------------------------------------------------------
-# Writer
-# ---------------------------------------------------------------------------
 
 def tag(
     element: str,

@@ -68,15 +68,6 @@ class World:
     def horizon(self) -> int:
         return self.config.horizon
 
-    def tick_stream(self):
-        """Cursor over the registries' lifecycle logs (see
-        :class:`repro.core.delta.stream.RegistryTickStream`): each drain
-        yields the packages the simulation touched since the last one,
-        so incremental re-collections diff O(delta), not O(corpus)."""
-        from repro.core.delta.stream import RegistryTickStream
-
-        return RegistryTickStream(self.registries)
-
 
 def _schedule_events(corpus: Corpus):
     """Build the per-day publish / detect / remove schedules."""

@@ -1,5 +1,5 @@
-"""Fuzzing the HTML parser and extractors: arbitrary input must never
-crash them — the crawler sees whatever the web serves."""
+"""Fuzzing the extractors: arbitrary input must never crash them — the
+crawler sees whatever the web serves."""
 
 from __future__ import annotations
 
@@ -13,23 +13,35 @@ from repro.crawler.extract import (
     infer_ecosystem,
     is_security_report,
 )
-from repro.crawler.html import MiniSoup
+from repro.crawler.html import render_page
 
-# plenty of markup-ish characters to stress the parser
+# plenty of markup-ish characters to stress the page reader
 markup = st.text(
     alphabet=st.sampled_from(list("<>/=\"' abcdefghij&#;\n-")), max_size=300
 )
 free_text = st.text(max_size=300)
+# the same characters between the tags the reader tracks
+tag_soup = st.lists(
+    st.one_of(
+        markup,
+        st.sampled_from(
+            [
+                '<ul class="package-list">', "</ul>", "<li>", "</li>",
+                "<title>", "</title>", "<title/>", "<li/>", "<br>", "</br>",
+                "<code>a==1.0</code>", "<!-- x -->", "<!DOCTYPE html>",
+            ]
+        ),
+    ),
+    max_size=30,
+).map("".join)
 
 
-@given(markup)
+@given(tag_soup)
 @settings(max_examples=150, deadline=None)
-def test_minisoup_never_crashes(payload):
-    soup = MiniSoup(payload)
-    soup.get_text()
-    soup.find("p")
-    soup.find_all(class_="x")
-    _ = soup.title
+def test_extract_report_never_crashes_on_tag_soup(payload):
+    report = extract_report("https://u", "site", payload)
+    assert isinstance(report.title, str)
+    assert all(isinstance(pin, tuple) for pin in report.packages)
 
 
 @given(markup)
@@ -71,9 +83,8 @@ def test_extract_tweet_never_crashes(payload):
 
 @given(markup)
 @settings(max_examples=60, deadline=None)
-def test_minisoup_text_roundtrip_is_idempotent(payload):
-    """Parsing the text content again yields the same text (no markup
-    survives get_text)."""
-    text = MiniSoup(payload).get_text(" ")
-    again = MiniSoup(text.replace("<", "").replace(">", "")).get_text(" ")
-    assert isinstance(again, str)
+def test_extract_report_title_roundtrips_writer_text(payload):
+    """Whatever text the writer escapes into a title reads back as it was
+    (no markup survives, no entity stays encoded)."""
+    page = render_page(payload, [])
+    assert extract_report("https://u", "site", page).title == payload.strip()
