@@ -3,12 +3,14 @@
 
 Builds a small world, boots the server on an ephemeral port, performs
 one single-indicator enrich and one batch enrich over real HTTP, and
-asserts the JSON response schema. It then refreshes the live service
-with one event batch that publishes a copy of a known artifact under a
-new name, and checks over HTTP that the new generation serves it with
-the families a cold index build gives. Every request goes over one
-persistent HTTP/1.1 connection, and the script asserts the server kept
-it open throughout, across the refresh. Exits nonzero on any failure.
+asserts the JSON response schema. The batch also carries three names
+only the squat fallback flags; each must answer as the in-process
+engine answers. It then refreshes the live service with one event
+batch that publishes a copy of a known artifact under a new name, and
+checks over HTTP that the new generation serves it with the families a
+cold index build gives. Every request goes over one persistent HTTP/1.1
+connection, and the script asserts the server kept it open throughout,
+across the refresh. Exits nonzero on any failure.
 
 Usage: PYTHONPATH=src python scripts/smoke_service.py [--seed N] [--scale F]
 """
@@ -27,6 +29,7 @@ from repro.core.delta import GraphEvent
 from repro.core.malgraph import MalGraph
 from repro.ecosystem.package import PackageId, make_artifact
 from repro.service import build_service
+from repro.service.enrich import Indicator
 from repro.service.index import IntelIndex
 from repro.service.refresh import refresh_from_events
 from repro.service.server import create_server, server_address
@@ -82,6 +85,30 @@ def check_result(body: dict, context: str) -> None:
         assert isinstance(body[key], list), f"{context}: {key} is not a list"
 
 
+#: one-edit typos of popular names (requests, lodash, flask, axios)
+POPULAR_TYPOS = ("reqursts", "lodahs", "flaks", "axois")
+
+
+def popular_typo(service) -> str:
+    """The first of :data:`POPULAR_TYPOS` no collected name is near, so
+    that the popular-name index, not the corpus, flags it."""
+    for name in POPULAR_TYPOS:
+        if not service.index.near_names(name):
+            return name
+    raise AssertionError(f"every one of {POPULAR_TYPOS} is near a collected name")
+
+
+def corpus_typo(name: str, dataset) -> str:
+    """``name`` with its last character replaced: one edit from a corpus
+    name and itself no collected name."""
+    taken = {entry.package.name.lower() for entry in dataset.entries}
+    for letter in "qxzjkv":
+        typo = name[:-1] + letter
+        if typo.lower() not in taken:
+            return typo
+    raise AssertionError(f"no one-edit typo of {name!r} is free")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=3)
@@ -117,21 +144,31 @@ def main(argv=None) -> int:
               f"({len(single['families'])} families, {len(single['sources'])} sources)")
 
         sha = dataset.available_entries()[0].sha256()
-        batch = client.fetch(
-            "/v1/enrich/batch",
-            {
-                "indicators": [
-                    {"name": known.name},
-                    {"sha256": sha},
-                    {"name": "smoke-test-surely-unknown"},
-                ]
-            },
-        )
-        assert batch["count"] == 3, batch
+        # the squat fallback: a bare one-edit typo of a popular name, a
+        # one-edit typo of a corpus name, and a name popular in one
+        # ecosystem that squats another's
+        squats = [
+            {"name": popular_typo(service)},
+            {"name": corpus_typo(known.name, dataset)},
+            {"name": "redis"},
+        ]
+        indicators = [
+            {"name": known.name},
+            {"sha256": sha},
+            {"name": "smoke-test-surely-unknown"},
+            *squats,
+        ]
+        batch = client.fetch("/v1/enrich/batch", {"indicators": indicators})
+        assert batch["count"] == len(indicators), batch
         for i, row in enumerate(batch["results"]):
             check_result(row, f"batch result {i}")
         verdicts = [row["verdict"] for row in batch["results"]]
-        assert verdicts[0] == verdicts[1] == "malicious", verdicts
+        assert verdicts[:3] == ["malicious", "malicious", "unknown"], verdicts
+        for raw, row in zip(squats, batch["results"][3:]):
+            local = service.engine.enrich(Indicator.from_dict(raw)).to_dict()
+            assert row == local, (raw, row, local)
+        kinds = [(row["squat"] or {}).get("kind") for row in batch["results"][3:]]
+        assert kinds == ["typo", "near-known", "typo"], kinds
         print(f"batch of {batch['count']}: verdicts {verdicts}")
 
         stats = client.fetch("/v1/stats")

@@ -17,6 +17,7 @@ to an ecosystem. The :class:`EnrichmentEngine` resolves it against the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,9 +36,6 @@ VERDICT_UNKNOWN = "unknown"
 NEAR_DISTANCE = 2
 #: Cap on the related indicators one verdict lists.
 RELATED_LIMIT = 25
-#: Popular-name index for the typosquat check; read-only, so one
-#: instance serves every engine of every published generation.
-SQUAT_INDEX = TyposquatIndex()
 
 
 @dataclass(frozen=True)
@@ -157,10 +155,20 @@ def _seen_window(entries: Sequence[DatasetEntry]) -> Tuple[Optional[int], Option
     return min(days), max(days)
 
 
+@functools.lru_cache(maxsize=None)
+def _shared_squat_index() -> TyposquatIndex:
+    """The popular-name index of the typosquat check.
+
+    It is read-only, so one instance serves every engine of every
+    published generation. It is built on first use: ``import repro``
+    loads this module, and a process that never enriches builds no
+    table.
+    """
+    return TyposquatIndex()
+
+
 class EnrichmentEngine:
     """Resolves indicators against the index (no caching here)."""
-
-    squat_index = SQUAT_INDEX
 
     def __init__(
         self, index: IntelIndex, source_health: Optional[Dict[str, Dict]] = None
@@ -174,6 +182,11 @@ class EnrichmentEngine:
         #: sources backing it: a verdict only a dark feed still vouches
         #: for is worth a quarter of the same verdict from a healthy one.
         self.source_health = dict(source_health or {})
+
+    @property
+    def squat_index(self) -> TyposquatIndex:
+        """The popular-name index every engine shares."""
+        return _shared_squat_index()
 
     def _source_rows(self, entries: Sequence[DatasetEntry]) -> List[Dict]:
         """Source provenance rows, health-weighted when health is known."""
@@ -212,7 +225,14 @@ class EnrichmentEngine:
         return []
 
     def _squat_verdict(self, indicator: Indicator) -> Optional[EnrichmentResult]:
-        """Suspicious verdict for near-miss names, or None if clean."""
+        """Suspicious verdict for near-miss names, or None if clean.
+
+        A name near a known malicious name answers first (``near-known``).
+        Otherwise the popular-name index checks the indicator's
+        ecosystem, or, for a bare name, every ecosystem in one pass: the
+        first ecosystem in sorted order that flags the name answers, so
+        a name popular in one ecosystem can still squat another's.
+        """
         name = indicator.name or ""
         near = self.index.near_names(
             name, indicator.ecosystem, max_distance=NEAR_DISTANCE
@@ -230,24 +250,18 @@ class EnrichmentEngine:
                 last_seen_day=last,
                 squat={"target": nearest, "distance": distance, "kind": "near-known"},
             )
-        ecosystems = (
-            [indicator.ecosystem]
-            if indicator.ecosystem
-            else sorted(self.squat_index.popular)
+        match = self.squat_index.check(indicator.ecosystem or None, name)
+        if match is None:
+            return None
+        return EnrichmentResult(
+            indicator=indicator,
+            verdict=VERDICT_SUSPICIOUS,
+            squat={
+                "target": match.target,
+                "distance": match.distance,
+                "kind": match.kind,
+            },
         )
-        for ecosystem in ecosystems:
-            match = self.squat_index.check(ecosystem, name)
-            if match is not None:
-                return EnrichmentResult(
-                    indicator=indicator,
-                    verdict=VERDICT_SUSPICIOUS,
-                    squat={
-                        "target": match.target,
-                        "distance": match.distance,
-                        "kind": match.kind,
-                    },
-                )
-        return None
 
     def enrich(self, indicator: Indicator) -> EnrichmentResult:
         """One indicator in, one structured verdict out."""

@@ -136,3 +136,10 @@ def test_index_custom_popular_set():
     index = TyposquatIndex(popular={"pypi": ["leftpad"]})
     assert index.check("pypi", "leftpa") is not None
     assert index.check("pypi", "requests1") is None
+
+
+def test_index_empty_popular_table_flags_nothing():
+    """An empty table is a table, not a request for the defaults."""
+    index = TyposquatIndex(popular={})
+    assert index.check("pypi", "reqeusts") is None
+    assert index.check(None, "reqeusts") is None

@@ -82,6 +82,21 @@ def test_popular_typosquat_is_suspicious(mini_engine):
     assert result.squat["kind"] == "typo"
 
 
+def test_bare_name_takes_the_first_ecosystem_that_flags_it(mini_engine):
+    """A bare name is checked against every ecosystem's popular names,
+    in sorted order, and the first ecosystem that flags it answers."""
+    # 'redis' is Docker's popular package, yet two edits from npm's 'redux'
+    docker = mini_engine.lookup(name="redis", ecosystem="docker")
+    assert docker.verdict == VERDICT_UNKNOWN
+    result = mini_engine.lookup(name="redis")
+    assert result.verdict == VERDICT_SUSPICIOUS
+    assert result.squat == {"target": "redux", "distance": 2, "kind": "typo"}
+    # 'realt' is one edit from cocoapods' 'realm' and from npm's 'react'
+    assert mini_engine.lookup(name="realt", ecosystem="npm").squat["target"] == "react"
+    result = mini_engine.lookup(name="realt")
+    assert result.squat == {"target": "realm", "distance": 1, "kind": "typo"}
+
+
 def test_clean_name_is_unknown(mini_engine):
     result = mini_engine.lookup(name="totally-unrelated-zzz")
     assert result.verdict == VERDICT_UNKNOWN
