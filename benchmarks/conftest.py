@@ -16,60 +16,9 @@ Run with::
 
 from __future__ import annotations
 
-from typing import Optional
-
 import pytest
 
 from repro.paper import PaperArtifacts, default_artifacts
-
-
-def peak_rss_kb(include_children: bool = False) -> Optional[int]:
-    """Peak RSS of this process (and, optionally, its reaped children)
-    in KiB; ``None`` on platforms without ``resource``.
-
-    ``ru_maxrss`` is a high-water mark, so call this *after* the work
-    you want to bound. Child-process accounting only covers children
-    that have already been ``wait()``ed for.
-    """
-    from repro.pipeline.report import current_peak_rss_kb
-
-    peak = current_peak_rss_kb()
-    if peak is None:  # pragma: no cover - non-POSIX platforms
-        return None
-    if include_children:
-        try:
-            import resource
-            import sys
-
-            children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-            if sys.platform == "darwin":  # pragma: no cover - bytes on macOS
-                children //= 1024
-            peak = max(peak, int(children))
-        except ImportError:  # pragma: no cover - non-POSIX platforms
-            pass
-    return int(peak)
-
-
-@pytest.fixture
-def rss_sampler():
-    """Callable fixture reporting peak RSS deltas around a benchmark.
-
-    Usage::
-
-        def test_bench(benchmark, rss_sampler):
-            benchmark(work)
-            print(f"peak RSS {rss_sampler():.0f} KiB")
-
-    Returns the current process-wide peak (KiB, children included) —
-    a high-water mark, so the first bench that touches a large corpus
-    dominates later samples in the same process; for isolated numbers
-    run the stage in a child process as ``bench_scaling.py`` does.
-    """
-
-    def _sample(include_children: bool = True) -> Optional[int]:
-        return peak_rss_kb(include_children=include_children)
-
-    return _sample
 
 
 @pytest.fixture(scope="session")

@@ -165,30 +165,7 @@ class ReleaseTimeline:
 
 
 def compute_release_timeline(dataset: MalwareDataset) -> ReleaseTimeline:
-    """Bin entry release days by calendar month (Fig. 2).
-
-    Columnar corpora bin the release-day column directly — one
-    ``np.unique`` over the dated rows, no entry hydration.
-    """
-    columnar = getattr(dataset, "columnar", None)
-    if columnar is not None:
-        import numpy as np
-
-        days, has_day = columnar.release_days()
-        dated_days = np.asarray(days)[np.asarray(has_day, dtype=bool)]
-        uniq_days, day_counts = np.unique(dated_days, return_counts=True)
-        months: List[str] = []
-        counts: List[int] = []
-        # unique days are sorted, so months arrive in calendar order —
-        # the same order bin_by's sorted "YYYY-MM" keys produce.
-        for day, count in zip(uniq_days, day_counts):
-            month = day_to_month(int(day))
-            if months and months[-1] == month:
-                counts[-1] += int(count)
-            else:
-                months.append(month)
-                counts.append(int(count))
-        return ReleaseTimeline(months=months, counts=counts)
+    """Bin entry release days by calendar month (Fig. 2)."""
     dated = [e for e in dataset.entries if e.release_day is not None]
     bins = bin_by(dated, key=lambda e: day_to_month(e.release_day))
     months = list(bins)

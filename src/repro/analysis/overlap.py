@@ -99,40 +99,12 @@ class DgSizeCdf:
         return "\n\n".join(blocks)
 
 
-def _columnar_dg_sizes(dataset: MalwareDataset) -> Dict[str, List[int]]:
-    """Per-ecosystem DG sizes straight off the claim CSR (row order)."""
-    import numpy as np
-
-    columnar = dataset.columnar  # type: ignore[attr-defined]
-    counts = columnar.source_counts()
-    eco_col = np.asarray(columnar.packages["eco"])
-    sizes: Dict[str, List[int]] = {}
-    for eco_id in np.unique(eco_col):
-        name = columnar.pool.lookup(int(eco_id))
-        sizes[name] = counts[eco_col == eco_id].tolist()
-    return sizes
-
-
 def compute_dg_size_cdf(dataset: MalwareDataset) -> DgSizeCdf:
-    """DG size = number of distinct sources reporting a package (Fig. 4).
-
-    Columnar corpora count distinct claim sources per row vectorised —
-    no entry (or claim) hydration.
-    """
-    columnar_sizes = (
-        _columnar_dg_sizes(dataset)
-        if getattr(dataset, "columnar", None) is not None
-        else None
-    )
+    """DG size = number of distinct sources reporting a package (Fig. 4)."""
     per_ecosystem: Dict[str, List[CdfPoint]] = {}
     all_sizes: List[int] = []
     for ecosystem in MAJOR_ECOSYSTEMS:
-        if columnar_sizes is not None:
-            sizes = columnar_sizes.get(ecosystem, [])
-        else:
-            sizes = [
-                len(entry.sources) for entry in dataset.for_ecosystem(ecosystem)
-            ]
+        sizes = [len(entry.sources) for entry in dataset.for_ecosystem(ecosystem)]
         all_sizes.extend(sizes)
         per_ecosystem[ecosystem] = empirical_cdf(sizes)
     single = cdf_fraction_at(all_sizes, 1)

@@ -12,14 +12,14 @@ lacks:
   packages added/removed, packages whose artifact was newly recovered,
   and new reports.
 
-Both are pure in the sense that inputs are never *mutated*. Since the
-columnar scale-out (DESIGN.md §12) the merge is also **copy-on-write**:
-entries the merge does not touch — base entries whose key is absent from
-``new``, and ``new``-only entries — are shared by identity into the
-output instead of being cloned and re-normalised, exactly as reports
-always were (and as ``apply_events_to_dataset`` shares untouched
-entries). Only overlapping keys are cloned, claim-normalised and folded.
-The practical consequences:
+Both are pure in the sense that inputs are never *mutated*. The merge
+is also **copy-on-write**: entries the merge does not touch — base
+entries whose key is absent from ``new``, and ``new``-only entries —
+are shared by identity into the output instead of being cloned and
+re-normalised, exactly as reports always were (and as
+``apply_events_to_dataset`` shares untouched entries). Only overlapping
+keys are cloned, claim-normalised and folded. The practical
+consequences:
 
 * ``merge_datasets(base, empty)`` returns ``base`` itself;
 * merging a small delta into a million-row base allocates O(delta), not
@@ -28,10 +28,6 @@ The practical consequences:
   the merge actually touches that key (the collection pipeline never
   produces such duplicates; :func:`_normalized_claims` still runs on
   every touched entry).
-
-Columnar corpora merge without any of this hydrating:
-:func:`repro.core.columnar.merge.merge_columnar` implements the same
-semantics over arrays and is what the scaling benchmark exercises.
 """
 
 from __future__ import annotations

@@ -149,9 +149,7 @@ class MalwareDataset:
         return index
 
     # -- cheap key views ---------------------------------------------------
-    # The columnar facade overrides these to answer from pooled ids
-    # without hydrating a single entry/report; merge and diff use them so
-    # membership scans stay O(keys) rather than O(records).
+    # Merge, diff and the delta engine scan membership through these.
     def package_keys(self) -> List[PackageId]:
         """Entry keys in entry order."""
         return [entry.package for entry in self.entries]

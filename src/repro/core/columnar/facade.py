@@ -15,8 +15,9 @@ Hydration rules (see DESIGN.md §12):
 * an index is hydrated at most once; ``entries[i] is entries[i]``;
 * hydrated artifacts come pre-seeded with the pooled SHA256, so no
   consumer ever re-canonicalises code the ingest already signed;
-* iterating the facade hydrates everything — vectorised paths should
-  ask the underlying :attr:`columnar` table instead;
+* iterating the facade hydrates everything: analyses and
+  ``MalGraph.build`` read a facade exactly as they read the dataclass
+  dataset, one hydrated row at a time;
 * the facade never writes back: once a caller mutates a hydrated entry
   the columnar table is stale, which is why the pipeline treats
   columnar artifacts as immutable snapshots keyed by fingerprint.
@@ -111,20 +112,6 @@ class ColumnarMalwareDataset(MalwareDataset):
     def get(self, package: PackageId) -> Optional[DatasetEntry]:
         i = self._keys().get(package)
         return None if i is None else self.entries[i]
-
-    def package_keys(self) -> List[PackageId]:
-        """Entry keys without hydrating entries (pool decodes only)."""
-        return [
-            self.columnar.package_id_at(i)
-            for i in range(self.columnar.n_packages)
-        ]
-
-    def report_ids(self) -> List[str]:
-        """Report ids without hydrating reports."""
-        look = self.columnar.pool.lookup
-        return [
-            look(int(rid)) for rid in self.columnar.reports["report_id"]
-        ]
 
     def to_dataset(self) -> MalwareDataset:
         """Fully hydrated plain MalwareDataset (materialises all rows)."""

@@ -7,9 +7,8 @@ Layout under a directory::
 
 Arrays are written atomically (tmp + ``os.replace``) so a crashed writer
 never leaves a half-valid table, and loaded with
-``np.load(mmap_mode="r")`` by default: opening a scale-100 corpus costs
-page tables, not RSS — rows fault in only when an accessor touches them,
-which is what lets the scale-100 trajectory run under the RSS ceiling.
+``np.load(mmap_mode="r")`` by default: opening a corpus costs page
+tables, not RSS — rows fault in only when hydration touches them.
 The pipeline's ``ArtifactStore`` points a cache slot at such a
 directory; see ``repro.pipeline.stages.ColumnarCodec``.
 """

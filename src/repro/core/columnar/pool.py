@@ -21,7 +21,7 @@ pooled value and distinct from it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -29,17 +29,12 @@ import numpy as np
 NULL = -1
 
 
-def _bytes_hash(encoded: bytes) -> int:
-    """Process-stable 64-bit hash of a pooled string's UTF-8 bytes.
-
-    ``hash(bytes)`` is salted per process, which is fine — the probe is
-    built and queried inside one process — but it must be folded into
-    int64 deterministically for the numpy sort."""
-    return hash(encoded) & 0x7FFFFFFFFFFFFFFF
-
-
 class StringPool:
-    """Append-only interned string table with lazy mmap-backed decode."""
+    """Append-only interned string table with lazy mmap-backed decode.
+
+    A pool is built by :meth:`intern` and read by :meth:`lookup`; one
+    rebuilt :meth:`from_arrays` is for reading only.
+    """
 
     def __init__(self) -> None:
         self._index: Dict[str, int] = {}
@@ -47,70 +42,19 @@ class StringPool:
         # frozen backing (set when loaded from arrays); decoded lazily
         self._data: Optional[np.ndarray] = None
         self._offsets: Optional[np.ndarray] = None
-        #: how many ids live in the frozen arrays (probe-able without
-        #: decoding); ids past this are ordinary in-memory strings
-        self._frozen_count: int = 0
-        # hash probe over the frozen strings: hashes sorted ascending +
-        # the id permutation that sorts them (built on first frozen miss)
-        self._hash_sorted: Optional[np.ndarray] = None
-        self._hash_order: Optional[np.ndarray] = None
 
     # -- building ----------------------------------------------------------
     def intern(self, value: Optional[str]) -> int:
-        """Id of ``value``, adding it on first sight. ``None`` -> NULL.
-
-        On a pool loaded :meth:`from_arrays` a miss in the in-memory
-        index probes the frozen bytes through a hash index (8 bytes per
-        pooled string) rather than decoding the whole pool — interning a
-        handful of delta strings into a memory-mapped corpus pool stays
-        O(delta) resident, not O(pool).
-        """
+        """Id of ``value``, adding it on first sight. ``None`` -> NULL."""
         if value is None:
             return NULL
         held = self._index.get(value)
         if held is not None:
             return held
-        frozen = self._find_frozen(value)
-        if frozen is not None:
-            self._index[value] = frozen
-            self._strings[frozen] = value
-            return frozen
         idx = len(self._strings)
         self._index[value] = idx
         self._strings.append(value)
         return idx
-
-    def _find_frozen(self, value: str) -> Optional[int]:
-        """Id of ``value`` among the frozen strings, decoding only hash
-        collisions; ``None`` when absent (or nothing is frozen)."""
-        if self._frozen_count == 0:
-            return None
-        if self._hash_sorted is None:
-            self._build_hash_probe()
-        encoded = value.encode("utf-8")
-        key = _bytes_hash(encoded)
-        lo = int(np.searchsorted(self._hash_sorted, key, side="left"))
-        hi = int(np.searchsorted(self._hash_sorted, key, side="right"))
-        for slot in range(lo, hi):
-            idx = int(self._hash_order[slot])
-            start, end = int(self._offsets[idx]), int(self._offsets[idx + 1])
-            if end - start == len(encoded) and bytes(self._data[start:end]) == encoded:
-                return idx
-        return None
-
-    def _build_hash_probe(self) -> None:
-        offsets = self._offsets
-        data = self._data
-        hashes = np.empty(self._frozen_count, dtype=np.int64)
-        for i in range(self._frozen_count):
-            hashes[i] = _bytes_hash(
-                bytes(data[int(offsets[i]) : int(offsets[i + 1])])
-            )
-        self._hash_order = np.argsort(hashes, kind="stable")
-        self._hash_sorted = hashes[self._hash_order]
-
-    def intern_many(self, values: Iterable[Optional[str]]) -> List[int]:
-        return [self.intern(v) for v in values]
 
     # -- reading -----------------------------------------------------------
     def __len__(self) -> int:
@@ -127,43 +71,6 @@ class StringPool:
             held = bytes(self._data[start:end]).decode("utf-8")
             self._strings[idx] = held
         return held
-
-    def strings(self) -> List[str]:
-        """Every pooled string, fully decoded, in id order."""
-        return [self.lookup(i) for i in range(len(self._strings))]
-
-    def ranks(self) -> np.ndarray:
-        """``ranks[id]`` = lexicographic rank of the string with that id.
-
-        Gives columnar code vectorised *string order* without comparing
-        strings row by row: sorting rows by their ids' ranks equals
-        sorting by the strings themselves (ids are unique, so ranks are
-        a permutation). Computed over the pool (unique strings), not the
-        rows referencing it.
-        """
-        order = sorted(range(len(self._strings)), key=self.lookup)
-        ranks = np.empty(len(self._strings), dtype=np.int64)
-        ranks[np.asarray(order, dtype=np.int64)] = np.arange(
-            len(self._strings), dtype=np.int64
-        )
-        return ranks
-
-    def subset_ranks(self, ids: np.ndarray) -> np.ndarray:
-        """Like :meth:`ranks` but only for the ids actually present in
-        ``ids`` (NULLs ignored); every other slot is ``-1``.
-
-        Key columns reference a tiny fraction of a corpus pool (the rest
-        is file text), so ranking just the used ids avoids decoding —
-        and, under mmap, faulting in — the bulk of the pool.
-        """
-        ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-        used = np.unique(ids[ids >= 0])
-        order = sorted(range(len(used)), key=lambda i: self.lookup(int(used[i])))
-        ranks = np.full(len(self._strings), -1, dtype=np.int64)
-        ranks[used[np.asarray(order, dtype=np.int64)]] = np.arange(
-            len(used), dtype=np.int64
-        )
-        return ranks
 
     # -- persistence -------------------------------------------------------
     def freeze(self) -> Dict[str, np.ndarray]:
@@ -185,12 +92,4 @@ class StringPool:
         pool._data = data
         pool._offsets = offsets
         pool._strings = [None] * (len(offsets) - 1)
-        pool._frozen_count = len(offsets) - 1
         return pool
-
-    def intern_into(self, value: Optional[str]) -> int:
-        """:meth:`intern` against a pool that may have been loaded from
-        arrays. Kept as a separate name for call sites that want to
-        document they expect a loaded pool; :meth:`intern` itself now
-        probes frozen storage, so this is a plain alias."""
-        return self.intern(value)

@@ -9,9 +9,8 @@ dependencies, scripts, report package lists) are CSR encoded: an
 ``offsets`` array of length ``n + 1`` plus flat value arrays, so row
 ``i`` owns slots ``offsets[i]:offsets[i + 1]``.
 
-Row order is whatever the source had — building from a dataset keeps
-entry/report order, the streaming merge emits key-sorted rows. Hydration
-back to dataclasses goes through
+Rows keep the source dataset's entry/report order. Hydration back to
+dataclasses goes through
 :mod:`repro.core.columnar.facade`; this module only promises that
 :meth:`ColumnarDataset.entry_at` / :meth:`report_at` reproduce the
 original records byte-identically under the canonical serialisation in
@@ -20,9 +19,8 @@ original records byte-identically under the canonical serialisation in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -82,46 +80,15 @@ def _offsets(counts: Sequence[int]) -> np.ndarray:
     return out
 
 
-def csr_take(
-    offsets: np.ndarray, rows: np.ndarray, *values: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Gather CSR rows: new offsets + each value array restricted to
-    ``rows`` (in ``rows`` order). The repeat/arange trick keeps this a
-    handful of vector ops regardless of row count."""
-    rows = np.asarray(rows, dtype=np.int64)
-    starts = offsets[rows]
-    counts = offsets[rows + 1] - starts
-    new_offsets = _offsets(counts)
-    total = int(new_offsets[-1])
-    idx = np.repeat(starts - new_offsets[:-1], counts) + np.arange(
-        total, dtype=np.int64
-    )
-    return (new_offsets,) + tuple(np.asarray(v)[idx] for v in values)
-
-
-def code_sha256(files: Iterable[Tuple[str, str]]) -> str:
-    """SHA256 over code files, identical to
-    :meth:`PackageArtifact.sha256` (path\\0source\\0 over sorted ``.py``
-    paths) without constructing an artifact."""
-    digest = hashlib.sha256()
-    for path, source in sorted(files):
-        if path.endswith(".py"):
-            digest.update(path.encode("utf-8"))
-            digest.update(b"\x00")
-            digest.update(source.encode("utf-8"))
-            digest.update(b"\x00")
-    return digest.hexdigest()
-
-
 class ColumnarBuilder:
     """Accumulates rows in Python lists, freezes to a ColumnarDataset.
 
-    One builder = one output table; entries and reports are appended in
-    the order they should occupy rows.
+    One builder = one output table over its own pool; entries and
+    reports are appended in the order they should occupy rows.
     """
 
-    def __init__(self, pool: Optional[StringPool] = None) -> None:
-        self.pool = pool if pool is not None else StringPool()
+    def __init__(self) -> None:
+        self.pool = StringPool()
         self._rows: List[tuple] = []
         self._claim_counts: List[int] = []
         self._claim_source: List[int] = []
@@ -145,170 +112,88 @@ class ColumnarBuilder:
         self._unres_counts: List[int] = []
         self._unres_a: List[int] = []
         self._unres_b: List[int] = []
-        # sha memo for raw-record ingest, keyed by the interned file ids
-        self._sha_by_files: Dict[Tuple[int, ...], int] = {}
 
     # -- entries -----------------------------------------------------------
     def add_entry(self, entry: DatasetEntry) -> None:
-        artifact = entry.artifact
-        self.add_record(
-            ecosystem=entry.package.ecosystem,
-            name=entry.package.name,
-            version=entry.package.version,
-            claims=[(c.source, c.report_day, c.shares_artifact) for c in entry.claims],
-            artifact_origin=entry.artifact_origin,
-            release_day=entry.release_day,
-            removal_day=entry.removal_day,
-            detection_day=entry.detection_day,
-            downloads=entry.downloads,
-            campaign_id=entry.campaign_id,
-            actor=entry.actor,
-            archetype=entry.archetype,
-            behavior_key=entry.behavior_key,
-            files=sorted(artifact.files.items()) if artifact is not None else None,
-            description=artifact.metadata.description if artifact else "",
-            author=artifact.metadata.author if artifact else "",
-            homepage=artifact.metadata.homepage if artifact else "",
-            keywords=artifact.metadata.keywords if artifact else (),
-            dependencies=artifact.metadata.dependencies if artifact else (),
-            scripts=artifact.metadata.scripts if artifact else {},
-            sha256=entry.sha256(),
-        )
-
-    def add_record(
-        self,
-        *,
-        ecosystem: str,
-        name: str,
-        version: str,
-        claims: Sequence[Tuple[str, int, bool]],
-        artifact_origin: Optional[str] = None,
-        release_day: Optional[int] = None,
-        removal_day: Optional[int] = None,
-        detection_day: Optional[int] = None,
-        downloads: int = 0,
-        campaign_id: Optional[str] = None,
-        actor: Optional[str] = None,
-        archetype: Optional[str] = None,
-        behavior_key: Optional[str] = None,
-        files: Optional[Sequence[Tuple[str, str]]] = None,
-        description: str = "",
-        author: str = "",
-        homepage: str = "",
-        keywords: Sequence[str] = (),
-        dependencies: Sequence[str] = (),
-        scripts: Optional[Dict[str, str]] = None,
-        sha256: Optional[str] = None,
-    ) -> None:
-        """Append one package row from plain values (no dataclasses)."""
+        """Append one package row; the SHA256 is the artifact's own."""
         pool = self.pool
-        has_artifact = files is not None
-        file_ids: Tuple[int, ...] = ()
-        if has_artifact:
-            file_ids = tuple(
-                fid for path, text in files for fid in (pool.intern(path), pool.intern(text))
-            )
-            self._file_path.extend(file_ids[0::2])
-            self._file_text.extend(file_ids[1::2])
+        artifact = entry.artifact
+        if artifact is not None:
+            files = sorted(artifact.files.items())
+            for path, text in files:
+                self._file_path.append(pool.intern(path))
+                self._file_text.append(pool.intern(text))
             self._file_counts.append(len(files))
-            if sha256 is None:
-                sha_id = self._sha_by_files.get(file_ids)
-                if sha_id is None:
-                    sha_id = pool.intern(code_sha256(files))
-                    self._sha_by_files[file_ids] = sha_id
-            else:
-                sha_id = pool.intern(sha256)
+            sha_id = pool.intern(artifact.sha256())
+            metadata = artifact.metadata
         else:
             self._file_counts.append(0)
             sha_id = NULL
+            metadata = None
+        package = entry.package
         self._rows.append(
             (
-                pool.intern(ecosystem),
-                pool.intern(name),
-                pool.intern(version),
-                pool.intern(artifact_origin),
-                release_day if release_day is not None else 0,
-                release_day is not None,
-                removal_day if removal_day is not None else 0,
-                removal_day is not None,
-                detection_day if detection_day is not None else 0,
-                detection_day is not None,
-                downloads,
-                pool.intern(campaign_id),
-                pool.intern(actor),
-                pool.intern(archetype),
-                pool.intern(behavior_key),
-                has_artifact,
+                pool.intern(package.ecosystem),
+                pool.intern(package.name),
+                pool.intern(package.version),
+                pool.intern(entry.artifact_origin),
+                entry.release_day if entry.release_day is not None else 0,
+                entry.release_day is not None,
+                entry.removal_day if entry.removal_day is not None else 0,
+                entry.removal_day is not None,
+                entry.detection_day if entry.detection_day is not None else 0,
+                entry.detection_day is not None,
+                entry.downloads,
+                pool.intern(entry.campaign_id),
+                pool.intern(entry.actor),
+                pool.intern(entry.archetype),
+                pool.intern(entry.behavior_key),
+                metadata is not None,
                 sha_id,
-                pool.intern(description) if has_artifact else NULL,
-                pool.intern(author) if has_artifact else NULL,
-                pool.intern(homepage) if has_artifact else NULL,
+                pool.intern(metadata.description) if metadata else NULL,
+                pool.intern(metadata.author) if metadata else NULL,
+                pool.intern(metadata.homepage) if metadata else NULL,
             )
         )
-        self._claim_counts.append(len(claims))
-        for source, day, shares in claims:
-            self._claim_source.append(pool.intern(source))
-            self._claim_day.append(day)
-            self._claim_shares.append(shares)
-        self._kw_counts.append(len(keywords) if has_artifact else 0)
-        if has_artifact:
-            self._kw.extend(pool.intern(k) for k in keywords)
-        self._dep_counts.append(len(dependencies) if has_artifact else 0)
-        if has_artifact:
-            self._dep.extend(pool.intern(d) for d in dependencies)
-        script_items = list((scripts or {}).items()) if has_artifact else []
-        self._script_counts.append(len(script_items))
-        for key, val in script_items:
+        self._claim_counts.append(len(entry.claims))
+        for claim in entry.claims:
+            self._claim_source.append(pool.intern(claim.source))
+            self._claim_day.append(claim.report_day)
+            self._claim_shares.append(claim.shares_artifact)
+        keywords = metadata.keywords if metadata else ()
+        self._kw_counts.append(len(keywords))
+        self._kw.extend(pool.intern(k) for k in keywords)
+        dependencies = metadata.dependencies if metadata else ()
+        self._dep_counts.append(len(dependencies))
+        self._dep.extend(pool.intern(d) for d in dependencies)
+        scripts = list(metadata.scripts.items()) if metadata else []
+        self._script_counts.append(len(scripts))
+        for key, val in scripts:
             self._script_key.append(pool.intern(key))
             self._script_val.append(pool.intern(val))
 
     # -- reports -----------------------------------------------------------
     def add_report(self, report: CollectedReport) -> None:
-        self.add_report_record(
-            report_id=report.report_id,
-            url=report.url,
-            site=report.site,
-            category=report.category,
-            source=report.source,
-            publish_day=report.publish_day,
-            packages=[(p.ecosystem, p.name, p.version) for p in report.packages],
-            unresolved=report.unresolved,
-            actor_alias=report.actor_alias,
-        )
-
-    def add_report_record(
-        self,
-        *,
-        report_id: str,
-        url: str,
-        site: str,
-        category: str,
-        source: str,
-        publish_day: Optional[int],
-        packages: Sequence[Tuple[str, str, str]],
-        unresolved: Sequence[Tuple[str, str]],
-        actor_alias: Optional[str] = None,
-    ) -> None:
         pool = self.pool
         self._report_rows.append(
             (
-                pool.intern(report_id),
-                pool.intern(url),
-                pool.intern(site),
-                pool.intern(category),
-                pool.intern(source),
-                publish_day if publish_day is not None else 0,
-                publish_day is not None,
-                pool.intern(actor_alias),
+                pool.intern(report.report_id),
+                pool.intern(report.url),
+                pool.intern(report.site),
+                pool.intern(report.category),
+                pool.intern(report.source),
+                report.publish_day if report.publish_day is not None else 0,
+                report.publish_day is not None,
+                pool.intern(report.actor_alias),
             )
         )
-        self._rpkg_counts.append(len(packages))
-        for eco, name, ver in packages:
-            self._rpkg_eco.append(pool.intern(eco))
-            self._rpkg_name.append(pool.intern(name))
-            self._rpkg_ver.append(pool.intern(ver))
-        self._unres_counts.append(len(unresolved))
-        for a, b in unresolved:
+        self._rpkg_counts.append(len(report.packages))
+        for package in report.packages:
+            self._rpkg_eco.append(pool.intern(package.ecosystem))
+            self._rpkg_name.append(pool.intern(package.name))
+            self._rpkg_ver.append(pool.intern(package.version))
+        self._unres_counts.append(len(report.unresolved))
+        for a, b in report.unresolved:
             self._unres_a.append(pool.intern(a))
             self._unres_b.append(pool.intern(b))
 
@@ -346,7 +231,7 @@ class ColumnarBuilder:
 @dataclass
 class ColumnarDataset:
     """The corpus as flat arrays over one string pool. Immutable by
-    convention: merge/take produce new instances."""
+    convention."""
 
     pool: StringPool
     packages: np.ndarray  # PACKAGE_DTYPE
@@ -394,110 +279,6 @@ class ColumnarDataset:
 
     def __len__(self) -> int:
         return self.n_packages
-
-    # -- vectorised accessors ---------------------------------------------
-    def available_mask(self) -> np.ndarray:
-        return self.packages["has_artifact"]
-
-    def release_days(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(days, mask): release day per row + which rows have one."""
-        return self.packages["release_day"], self.packages["has_release"]
-
-    def source_counts(self) -> np.ndarray:
-        """Distinct claim sources per row — ``len(entry.sources)``
-        without hydrating a single claim."""
-        n = self.n_packages
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        counts = self.claim_offsets[1:] - self.claim_offsets[:-1]
-        row_of_claim = np.repeat(np.arange(n, dtype=np.int64), counts)
-        pairs = row_of_claim * np.int64(len(self.pool) + 1) + self.claim_source
-        unique_rows = row_of_claim[_first_occurrence_mask(pairs)]
-        return np.bincount(unique_rows, minlength=n).astype(np.int64)
-
-    def first_report_days(self) -> np.ndarray:
-        """min claim report_day per row (rows with no claims get -1)."""
-        n = self.n_packages
-        out = np.full(n, -1, dtype=np.int64)
-        if n == 0 or len(self.claim_day) == 0:
-            return out
-        counts = self.claim_offsets[1:] - self.claim_offsets[:-1]
-        row_of_claim = np.repeat(np.arange(n, dtype=np.int64), counts)
-        out = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(out, row_of_claim, self.claim_day)
-        out[counts == 0] = -1
-        return out
-
-    def package_keys(self) -> np.ndarray:
-        """(eco, name, version) pool-id triples, one row per package."""
-        keys = np.empty((self.n_packages, 3), dtype=np.int64)
-        keys[:, 0] = self.packages["eco"]
-        keys[:, 1] = self.packages["name"]
-        keys[:, 2] = self.packages["version"]
-        return keys
-
-    def ranked_keys(self) -> np.ndarray:
-        """Void-dtype package keys whose memcmp order equals the
-        lexicographic order of the (ecosystem, name, version) strings.
-
-        Pool ids carry no string order, so each id column is first
-        mapped through the pool's lexicographic ranks (computed over the
-        key ids only — file text never decodes), then packed big-endian —
-        after which numpy's bytewise comparison of the 24-byte void rows
-        matches tuple-of-strings comparison.
-        """
-        if self.n_packages == 0:
-            return np.empty(0, dtype=np.dtype((np.void, 24)))
-        keys = self.package_keys()
-        ranks = self.pool.subset_ranks(keys)
-        ranked = ranks[keys].astype(">i8")
-        return ranked.reshape(ranked.shape[0], -1).view(
-            np.dtype((np.void, 24))
-        ).reshape(-1)
-
-    # -- row gather --------------------------------------------------------
-    def take(self, rows: np.ndarray) -> "ColumnarDataset":
-        """New dataset with package rows ``rows`` (reports unchanged),
-        sharing the pool."""
-        rows = np.asarray(rows, dtype=np.int64)
-        c_off, c_src, c_day, c_sh = csr_take(
-            self.claim_offsets, rows, self.claim_source, self.claim_day,
-            self.claim_shares,
-        )
-        f_off, f_path, f_text = csr_take(
-            self.file_offsets, rows, self.file_path, self.file_text
-        )
-        k_off, k_val = csr_take(self.keyword_offsets, rows, self.keyword)
-        d_off, d_val = csr_take(self.dep_offsets, rows, self.dep)
-        s_off, s_key, s_val = csr_take(
-            self.script_offsets, rows, self.script_key, self.script_val
-        )
-        return ColumnarDataset(
-            pool=self.pool,
-            packages=self.packages[rows],
-            claim_offsets=c_off,
-            claim_source=c_src,
-            claim_day=c_day,
-            claim_shares=c_sh,
-            file_offsets=f_off,
-            file_path=f_path,
-            file_text=f_text,
-            keyword_offsets=k_off,
-            keyword=k_val,
-            dep_offsets=d_off,
-            dep=d_val,
-            script_offsets=s_off,
-            script_key=s_key,
-            script_val=s_val,
-            reports=self.reports,
-            rpkg_offsets=self.rpkg_offsets,
-            rpkg_eco=self.rpkg_eco,
-            rpkg_name=self.rpkg_name,
-            rpkg_ver=self.rpkg_ver,
-            unresolved_offsets=self.unresolved_offsets,
-            unresolved_a=self.unresolved_a,
-            unresolved_b=self.unresolved_b,
-        )
 
     # -- hydration ---------------------------------------------------------
     def package_id_at(self, i: int) -> PackageId:
@@ -638,17 +419,3 @@ class ColumnarDataset:
         kwargs = {name: arrays[name] for name in cls._ARRAY_FIELDS}
         return cls(pool=pool, **kwargs)
 
-
-def _first_occurrence_mask(values: np.ndarray) -> np.ndarray:
-    """Boolean mask selecting the first occurrence of each distinct
-    value, preserving input order."""
-    if len(values) == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    keep_sorted = np.empty(len(values), dtype=bool)
-    keep_sorted[0] = True
-    np.not_equal(sorted_vals[1:], sorted_vals[:-1], out=keep_sorted[1:])
-    mask = np.zeros(len(values), dtype=bool)
-    mask[order[keep_sorted]] = True
-    return mask

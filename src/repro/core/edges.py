@@ -45,28 +45,12 @@ def add_dataset_nodes(graph: PropertyGraph, dataset: MalwareDataset) -> None:
 # Duplicated
 # ---------------------------------------------------------------------------
 
-def _columnar_of(dataset: MalwareDataset):
-    """The backing ColumnarDataset when ``dataset`` is the lazy facade,
-    else None — the dispatch point for every vectorised fast path."""
-    return getattr(dataset, "columnar", None)
-
-
 def duplicated_groups_of(dataset: MalwareDataset) -> List[List[DatasetEntry]]:
     """Signature groups (>= 2 sharers) in first-occurrence order.
 
     Pure — no graph involved; shared by the cold builder below and
-    ``MalGraph.duplicated_groups``. Columnar corpora group by pooled
-    signature ids without hydrating non-members.
+    ``MalGraph.duplicated_groups``.
     """
-    col = _columnar_of(dataset)
-    if col is not None:
-        from repro.core.columnar.edges import duplicated_row_groups
-
-        entries = dataset.entries
-        return [
-            [entries[int(row)] for row in rows]
-            for rows in duplicated_row_groups(col)
-        ]
     by_hash: Dict[str, List[DatasetEntry]] = {}
     for entry in dataset.available_entries():
         by_hash.setdefault(entry.sha256(), []).append(entry)
@@ -100,19 +84,8 @@ def dependency_pairs_of(
     """Directed (dependant, dependency) pairs between dataset packages.
 
     Pure — the cold builder adds the graph edges on top, and
-    ``MalGraph.dependency_edges`` is this list. Columnar corpora resolve
-    the (ecosystem, name) join with two binary searches instead of a
-    dict-of-lists over hydrated entries.
+    ``MalGraph.dependency_edges`` is this list.
     """
-    col = _columnar_of(dataset)
-    if col is not None:
-        from repro.core.columnar.edges import dependency_pair_rows
-
-        entries = dataset.entries
-        src, tgt = dependency_pair_rows(col)
-        return [
-            (entries[int(s)], entries[int(t)]) for s, t in zip(src, tgt)
-        ]
     name_index = dataset.name_index()
     pairs: List[Tuple[DatasetEntry, DatasetEntry]] = []
     for entry in dataset.available_entries():
@@ -217,18 +190,7 @@ def coexisting_group_of_report(
 
 def coexisting_groups_of(dataset: MalwareDataset) -> List[List[DatasetEntry]]:
     """Qualifying report groups in report order (pure; what
-    ``MalGraph.coexisting_groups`` reads). Columnar corpora resolve every
-    report mention in one vectorised join, hydrating only the member
-    entries."""
-    col = _columnar_of(dataset)
-    if col is not None:
-        from repro.core.columnar.edges import coexisting_row_groups
-
-        entries = dataset.entries
-        return [
-            [entries[int(row)] for row in rows]
-            for rows in coexisting_row_groups(col)
-        ]
+    ``MalGraph.coexisting_groups`` reads)."""
     groups: List[List[DatasetEntry]] = []
     for report in dataset.reports:
         group = coexisting_group_of_report(dataset, report)

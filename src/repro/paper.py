@@ -99,18 +99,6 @@ class PaperArtifacts:
             self._malgraph = self.runtime.malgraph()
         return self._malgraph
 
-    @property
-    def columnar(self) -> MalwareDataset:
-        """The dataset as a columnar corpus (lazy facade over arrays).
-
-        Same contents as :attr:`dataset` — hydration is byte-identical
-        under canonical serialisation — but vectorised analysis paths
-        (Table II census, Fig. 2 timeline, Fig. 4 CDF) read the arrays
-        directly, and a warmed disk cache memory-maps in without
-        touching the collection JSONL.
-        """
-        return self.runtime.columnar()
-
     def warm(self) -> "PaperArtifacts":
         """Resolve every analysis-path stage (and persist the cacheable
         ones), so later accesses — and later processes — start warm."""

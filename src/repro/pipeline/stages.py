@@ -253,10 +253,9 @@ class PipelineRuntime:
         """The collected dataset as a columnar corpus (lazy facade).
 
         Resolves memory -> disk -> build like every other stage. A disk
-        hit memory-maps the arrays and *elides the whole upstream chain*:
-        the world is never simulated and the collection JSONL is never
-        parsed — the defining win of the columnar tier for analysis-only
-        processes.
+        hit memory-maps the arrays and elides the upstream chain: the
+        world is never simulated and the collection JSONL is never
+        parsed. The facade hydrates to the collected dataset's bytes.
         """
         from repro.core.columnar import ColumnarDataset, ColumnarMalwareDataset
 

@@ -2,7 +2,8 @@
 byte-identical under the canonical :mod:`repro.io.datasets`
 serialisation — including tombstoned/removed packages, artifact-less
 entries, reports with unresolved mentions, and degraded-collection
-corpora.
+corpora — and MALGRAPH plus the corpus analyses read a facade exactly
+as they read the dataclass dataset.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import json
 
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.diversity import compute_graph_stats
+from repro.analysis.inventory import compute_release_timeline
+from repro.analysis.overlap import compute_dg_size_cdf
 from repro.collection.records import (
     CollectedReport,
     DatasetEntry,
@@ -23,8 +27,10 @@ from repro.core.columnar import (
     load_columnar,
     save_columnar,
 )
+from repro.core.malgraph import MalGraph
 from repro.ecosystem.package import PackageId, make_artifact
 from repro.io.datasets import entry_to_dict, report_to_dict
+from repro.io.malgraphs import canonical_malgraph_json
 
 _SOURCES = ["snyk", "phylum", "tianwen", "datadog"]
 _CODES = ["A = 1\n", "B = 2\n", "import os\nC = 3\n"]
@@ -162,6 +168,30 @@ def test_facade_memoises_hydration(small_dataset):
 
 def test_small_collection_roundtrips(small_dataset, tmp_path):
     assert_roundtrip(small_dataset, tmp_path)
+
+
+def _malgraph_and_corpus_renders(dataset: MalwareDataset):
+    """Canonical MALGRAPH JSON plus the Table II / Fig. 2 / Fig. 4 renders."""
+    malgraph = MalGraph.build(dataset)
+    return (
+        canonical_malgraph_json(malgraph),
+        compute_graph_stats(malgraph).render(),
+        compute_release_timeline(dataset).render(),
+        compute_dg_size_cdf(dataset).render(),
+    )
+
+
+def test_malgraph_and_analyses_over_the_facade(small_dataset, tmp_path):
+    """A facade built in memory, and one memory-mapped back from disk,
+    yield the dataclass dataset's MALGRAPH and corpus numbers."""
+    col = ColumnarDataset.from_dataset(small_dataset)
+    save_columnar(col, tmp_path / "col")
+    expected = _malgraph_and_corpus_renders(small_dataset)
+    for facade in (
+        ColumnarMalwareDataset(col),
+        ColumnarMalwareDataset(load_columnar(tmp_path / "col", mmap=True)),
+    ):
+        assert _malgraph_and_corpus_renders(facade) == expected
 
 
 def test_degraded_collection_roundtrips(small_world, tmp_path):
