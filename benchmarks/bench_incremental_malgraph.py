@@ -17,14 +17,19 @@ For each world scale it:
    indexes (``index_patch_s``): the snapshot read before the batch is
    patched from the batch's index patch, as on every service refresh;
 4. cold-rebuilds from the post-events collection and byte-compares the
-   canonical serialisations, and compares the patched query indexes
-   field by field with ``build_indexes`` over the evolved graph
-   (``index_build_s``).
+   canonical serialisations, and checks the patched query indexes
+   against ``build_indexes`` over the evolved graph
+   (``index_build_s``): equal tables, and every node's ``neighbors()``
+   (each edge type alone and all together, in each direction) and
+   ``related()`` answers equal.
 
 The equivalence gates (byte-identity with a cold rebuild after every
-batch, and the patched snapshot equal to a cold index build) always
-run. At scales >= 10 the steady-state delta apply must
-additionally be >= 10x faster than the full rebuild it replaces.
+batch, and the patched snapshot answering like a cold index build)
+always run. At scales >= 10 the steady-state delta apply must
+additionally be >= 10x faster than the full rebuild it replaces. Each
+scale also records the process's peak RSS so far (VmHWM) as
+``peak_rss_mb``; scales run in order in one process, so a larger
+scale's figure is its own peak.
 
 ``--record FILE`` appends the numbers to a JSON trajectory file
 (``BENCH_incremental.json`` at the repo root holds the reference run).
@@ -40,10 +45,13 @@ from pathlib import Path
 
 from repro.collection.records import CollectedReport, DatasetEntry, SourceClaim
 from repro.core.delta import GraphEvent, apply_events_to_dataset
+from repro.core.edges import node_id
+from repro.core.graph import EdgeType
 from repro.core.malgraph import MalGraph
 from repro.core.query import build_indexes
 from repro.ecosystem.package import PackageId, make_artifact
 from repro.io.malgraphs import canonical_malgraph_json
+from repro.service.index import IntelIndex
 from repro.world import WorldConfig, build_world, collect
 
 #: required delta-over-rebuild advantage at scales >= SPEEDUP_AT_SCALE
@@ -54,8 +62,41 @@ SPEEDUP_AT_SCALE = 10.0
 BATCH_FRACTION = 0.01
 
 #: the GraphIndexes fields a patched snapshot must share with a cold build
-INDEX_FIELDS = ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
+INDEX_FIELDS = ("nodes", "attrs", "adjacency", "out", "into", "by_attr",
                 "group_members", "groups_of")
+#: every ``neighbors()`` types argument checked: each type alone, then all
+TYPE_CHOICES = tuple((t,) for t in EdgeType) + ((),)
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size so far (VmHWM), in MiB."""
+    with open("/proc/self/status", encoding="ascii") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
+def _assert_same_answers(head: MalGraph, patched, cold) -> None:
+    """The patched snapshot answers every neighbour question like the
+    cold build: equal tables, every node's ``neighbors()`` for each
+    type alone and all together in each direction, and ``related()``."""
+    for name in INDEX_FIELDS:
+        assert getattr(patched, name) == getattr(cold, name), (
+            f"batch 2: patched query indexes differ from a cold build in {name}"
+        )
+    for node in cold.nodes:
+        for types in TYPE_CHOICES:
+            for direction in ("any", "out", "in"):
+                assert patched.neighbors(node, types, direction) == cold.neighbors(
+                    node, types, direction
+                ), f"batch 2: neighbors({node!r}, {types}, {direction!r}) differ"
+    related = IntelIndex.build(head)  # serves the patched snapshot
+    assert related.indexes is patched
+    for entry in head.dataset.entries:
+        assert related.related(entry.package) == cold.neighbors(
+            node_id(entry.package)
+        )[:25], f"batch 2: related({entry.package}) differs"
 
 
 def _clone_with_downloads(entry: DatasetEntry, downloads: int) -> DatasetEntry:
@@ -172,10 +213,7 @@ def bench_scale(scale: float, record: list) -> None:
     started = time.perf_counter()
     cold_indexes = build_indexes(head.graph, head)
     index_build_s = time.perf_counter() - started
-    for name in INDEX_FIELDS:
-        assert getattr(patched, name) == getattr(cold_indexes, name), (
-            f"batch 2: patched query indexes differ from a cold build in {name}"
-        )
+    _assert_same_answers(head, patched, cold_indexes)
     final_dataset = apply_events_to_dataset(mid_dataset, batch2)
     started = time.perf_counter()
     rebuilt = MalGraph.build(final_dataset)
@@ -193,7 +231,9 @@ def bench_scale(scale: float, record: list) -> None:
         f"(cold index build {index_build_s:.4f} s)"
     )
     print("equivalence gate: byte-identical after both batches  OK")
-    print("index gate: patched snapshot equals a cold index build  OK")
+    print("index gate: patched snapshot answers like a cold index build  OK")
+    peak_rss_mb = _peak_rss_mb()
+    print(f"peak RSS so far: {peak_rss_mb:8.1f} MiB (VmHWM)")
 
     record.append(
         {
@@ -208,6 +248,7 @@ def bench_scale(scale: float, record: list) -> None:
             "index_build_s": round(index_build_s, 4),
             "rebuild_s": round(rebuild_s, 4),
             "speedup": round(speedup, 2),
+            "peak_rss_mb": round(peak_rss_mb, 1),
             "equivalent": True,
         }
     )

@@ -10,18 +10,22 @@ For each world scale it measures:
 1. **index build time** — one ``build_indexes`` pass over the built
    MALGRAPH (the cost the per-graph cache amortises away);
 2. **queries/sec and p95 latency** for 1-, 2- and 3-hop patterns seeded
-   from an indexed name filter (the planner's fast path), plus a "2-hop
-   clique" pattern seeded from the name with the most similar
-   neighbours: a large similar group makes its result the largest, the
-   shape of the slowest ``/v1/query`` requests a server sees;
+   from an indexed name filter (the planner's fast path), plus "2-hop
+   clique" and "3-hop clique" patterns seeded from the name with the
+   most similar neighbours: a large similar group makes their results
+   the largest, the shape of the slowest ``/v1/query`` requests a
+   server sees;
 3. **indexed vs naive-scan speedup** — the same patterns executed with
    planning disabled (full node scan from the leftmost variable).
 
 Every pattern passes a hard correctness gate before any number is
 reported: the indexed and naive executors must return identical row
-sets (both surfaces canonically order rows, so tuple equality). At
-scales >= 10 the indexed path must additionally be >= 10x faster than
-the naive scan on at least one pattern.
+sets (both surfaces canonically order rows, so tuple equality). The
+two share the hop traversal, so the variable-length patterns must also
+equal the rows of an independent per-node breadth-first search over
+``neighbors()`` (:func:`_bfs_rows`). At scales >= 10 the indexed path
+must additionally be >= 10x faster than the naive scan on at least one
+pattern.
 """
 
 from __future__ import annotations
@@ -45,8 +49,27 @@ def _p95(samples) -> float:
     return ordered[int(0.95 * (len(ordered) - 1))]
 
 
+def _bfs_rows(indexes, name: str, types, max_hops: int):
+    """The rows of ``MATCH (a)-[types*1..max_hops]-(b) WHERE a.name =
+    name RETURN b``, from a per-node breadth-first search that reads
+    every visited node's whole ``neighbors()`` (no executor code)."""
+    bindings = []
+    for a in indexes.lookup("name", name):
+        seen = {a}
+        frontier = [a]
+        for _ in range(max_hops):
+            found = set()
+            for node in frontier:
+                found.update(n for n in indexes.neighbors(node, types) if n not in seen)
+            seen |= found
+            frontier = sorted(found)
+            bindings.extend((a, b) for b in frontier)
+    return [(b,) for _, b in sorted(bindings)]
+
+
 def _patterns(engine: QueryEngine):
-    """(label, query) pairs seeded from names that actually have edges."""
+    """(label, query, BFS rows or None) triples seeded from names that
+    actually have edges."""
     from repro.core.graph import EdgeType
 
     indexes = engine.indexes()
@@ -62,16 +85,16 @@ def _patterns(engine: QueryEngine):
     name = seeds[len(seeds) // 2]
     clique = indexes.node_attrs(max(indexes.nodes, key=degree.__getitem__))["name"]
     two_hop = "MATCH (a)-[similar]-(b)-[coexisting]-(c) WHERE a.name = '{}' RETURN c"
+    three_hop = "MATCH (a)-[similar*1..3]-(b) WHERE a.name = '{}' RETURN b"
+    similar = (EdgeType.SIMILAR,)
     # selectivity lives in WHERE: the planner seeds from the name index,
     # the naive baseline scans every node and filters at the end
     return [
-        ("1-hop", f"MATCH (a)-[similar]-(b) WHERE a.name = '{name}' RETURN b"),
-        ("2-hop", two_hop.format(name)),
-        (
-            "3-hop",
-            f"MATCH (a)-[similar*1..3]-(b) WHERE a.name = '{name}' RETURN b",
-        ),
-        ("2-hop clique", two_hop.format(clique)),
+        ("1-hop", f"MATCH (a)-[similar]-(b) WHERE a.name = '{name}' RETURN b", None),
+        ("2-hop", two_hop.format(name), None),
+        ("3-hop", three_hop.format(name), _bfs_rows(indexes, name, similar, 3)),
+        ("2-hop clique", two_hop.format(clique), None),
+        ("3-hop clique", three_hop.format(clique), _bfs_rows(indexes, clique, similar, 3)),
     ]
 
 
@@ -94,7 +117,7 @@ def bench_scale(scale: float, repeats: int, naive_rounds: int) -> None:
     engine = QueryEngine(malgraph)
     engine.indexes()  # warm the per-graph cache
     best_speedup = 0.0
-    for label, query in _patterns(engine):
+    for label, query, bfs_rows in _patterns(engine):
         indexed_result = engine.run(query)
         t0 = time.perf_counter()
         naive_result = engine.run(query, naive=True)
@@ -102,6 +125,10 @@ def bench_scale(scale: float, repeats: int, naive_rounds: int) -> None:
         assert indexed_result.rows == naive_result.rows, (
             f"{label}: indexed and naive row sets differ"
         )
+        if bfs_rows is not None:
+            assert list(indexed_result.rows) == bfs_rows, (
+                f"{label}: rows differ from a per-node BFS over neighbors()"
+            )
 
         samples = []
         for _ in range(repeats):
@@ -126,7 +153,8 @@ def bench_scale(scale: float, repeats: int, naive_rounds: int) -> None:
             f"   p95 {_p95(samples) * 1000:7.3f} ms"
             f"   naive {naive_s * 1000:8.3f} ms"
             f"   speedup {speedup:7.1f}x"
-            f"   ({indexed_result.row_count} rows, identical: yes)"
+            f"   ({indexed_result.row_count} rows, identical: yes"
+            f"{', equal to BFS' if bfs_rows is not None else ''})"
         )
 
     if scale >= SPEEDUP_AT_SCALE:

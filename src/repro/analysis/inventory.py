@@ -7,15 +7,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.analysis.render import render_table, render_timeline
 from repro.analysis.stats import bin_by
 from repro.collection.records import MalwareDataset
 from repro.ecosystem.clock import day_to_month
 from repro.intel.reports import CATEGORIES
-from repro.intel.sources import SOURCE_INDEX, SOURCE_PROFILES, Sector
+from repro.intel.sources import SOURCE_PROFILES, Sector
 
 
 @dataclass

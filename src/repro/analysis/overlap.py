@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.render import render_cdf, render_table
 from repro.analysis.stats import CdfPoint, cdf_fraction_at, empirical_cdf

@@ -27,11 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.collection.records import (
-    CollectedReport,
-    DatasetEntry,
-    MalwareDataset,
-)
+from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.columnar.tables import ColumnarDataset
 from repro.ecosystem.package import PackageId
 from repro.errors import DatasetError

@@ -7,8 +7,8 @@ edges into a :class:`PropertyGraph` whose nodes are dataset entries
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.graph import EdgeType, PropertyGraph

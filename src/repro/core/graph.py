@@ -12,7 +12,7 @@ edges. Connected components treat both representations uniformly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import (
     Callable,
@@ -288,6 +288,14 @@ class PropertyGraph:
             found.update(self._cliques[edge_type][idx])
         found.discard(node_id)
         return found
+
+    def pairwise_adjacency(
+        self, edge_type: EdgeType
+    ) -> Iterable[Tuple[str, Set[str]]]:
+        """(node, its pairwise neighbours) for every node with a pairwise
+        edge of this type; cliques are not expanded. The sets are the
+        graph's own: copy what you keep and mutate nothing."""
+        return self._adjacency[edge_type].items()
 
     def incident_groups(
         self, node_id: str, edge_type: EdgeType

@@ -9,13 +9,14 @@ scan of every node.
 
 **Executor.** From the start variable the chain is expanded rightwards
 then leftwards with per-variable pruning (inline props plus the
-AND-spine comparisons mentioning only that variable), using the
-direction-appropriate neighbour map for each edge pattern. A variable
+AND-spine comparisons mentioning only that variable), reading the
+direction-appropriate neighbours for each edge pattern. A variable
 with nothing to prune is bound without reading its attributes. A
 variable-length hop (``*lo..hi``) binds the far variable to every node
 whose *shortest* distance over the selected edge types and direction
-falls inside the range (breadth-first with a visited set, so the walk
-is linear in the touched neighbourhood, not the path count). Complete
+falls inside the range (breadth-first with a visited set, expanding
+each clique once, so the walk is linear in the touched nodes and
+cliques, not the path count). Complete
 bindings are checked against the residual WHERE only: nothing when the
 WHERE is an AND of comparisons (pruning already applied each one), the
 whole WHERE when it holds an OR or a parenthesised group.
@@ -36,16 +37,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from repro.core.graph import EdgeType
@@ -55,12 +57,11 @@ from repro.core.query.ast import (
     Comparison,
     EdgePattern,
     MatchQuery,
-    NodePattern,
     QueryAst,
     QueryError,
     ReturnItem,
 )
-from repro.core.query.indexes import INDEXED_ATTRS, GraphIndexes
+from repro.core.query.indexes import INDEXED_ATTRS, GraphIndexes, Run
 
 
 # ---------------------------------------------------------------------------
@@ -130,61 +131,89 @@ def plan_match(query: MatchQuery, indexes: GraphIndexes) -> Plan:
 # Traversal primitives
 # ---------------------------------------------------------------------------
 
-def _neighbor_fn(
-    indexes: GraphIndexes, edge: EdgePattern, forward: bool
-) -> Callable[[str], Iterable[str]]:
-    """Neighbour expansion across ``edge`` in one chain direction.
+def _direction(edge: EdgePattern, forward: bool) -> str:
+    """The index direction that crosses ``edge`` in one chain direction.
 
     ``forward`` walks the pattern left-to-right; an ``out`` edge then
     follows the forward map, while walking right-to-left follows the
     reverse map (and vice versa for ``in``).
     """
-    direction = edge.direction
-    if direction == "out":
-        direction = "out" if forward else "in"
-    elif direction == "in":
-        direction = "in" if forward else "out"
-    types = edge.types
-    return lambda node: indexes.neighbors(node, types, direction)
+    if edge.direction == "out":
+        return "out" if forward else "in"
+    if edge.direction == "in":
+        return "in" if forward else "out"
+    return edge.direction
+
+
+def _unexpanded(runs: Iterable[Run], expanded: set) -> List[Tuple[str, ...]]:
+    """``runs`` minus the cliques already in ``expanded``, which the
+    ones returned join: after a clique's first expansion every member is
+    visited, so expanding it again would find nothing new."""
+    fresh = []
+    for key, run in runs:
+        if key is not None:
+            if key in expanded:
+                continue
+            expanded.add(key)
+        fresh.append(run)
+    return fresh
+
+
+def _layers(
+    runs: Callable[[str], Iterable[Run]],
+    sources: Iterable[str],
+    max_hops: Optional[int],
+) -> Iterator[Tuple[int, set]]:
+    """Breadth-first from ``sources`` over each node's neighbour
+    ``runs`` (:meth:`GraphIndexes.runs`): yields (depth, the nodes first
+    reached at that depth) up to ``max_hops`` (None: unbounded).
+
+    Each node is reached at its minimal depth only and each clique is
+    expanded once, so the walk is linear in the touched nodes and
+    cliques and never enumerates individual paths.
+    """
+    frontier = set(sources)
+    seen = set(frontier)
+    expanded: set = set()
+    depth = 0
+    while frontier and (max_hops is None or depth < max_hops):
+        depth += 1
+        found: set = set()
+        for node in frontier:
+            for run in _unexpanded(runs(node), expanded):
+                found.update(run)
+        found -= seen
+        seen |= found
+        frontier = found
+        yield depth, found
 
 
 def reachable(
-    neighbor_fn: Callable[[str], Iterable[str]],
+    runs: Callable[[str], Iterable[Run]],
     start: str,
     min_hops: int,
     max_hops: Optional[int],
 ) -> List[str]:
-    """Nodes whose shortest distance from ``start`` is in [min, max].
-
-    Breadth-first with a visited set: each node is bound at its minimal
-    depth only, so the expansion is linear in the touched neighbourhood
-    and never enumerates individual paths.
-    """
-    seen = {start}
-    frontier: List[str] = [start]
+    """Nodes whose shortest distance from ``start`` is in [min, max]."""
     out: List[str] = []
-    depth = 0
-    while frontier and (max_hops is None or depth < max_hops):
-        depth += 1
-        next_frontier: set = set()
-        for node in frontier:
-            for other in neighbor_fn(node):
-                if other not in seen:
-                    next_frontier.add(other)
-        seen.update(next_frontier)
-        frontier = sorted(next_frontier)
+    for depth, layer in _layers(runs, (start,), max_hops):
         if depth >= min_hops:
-            out.extend(frontier)
+            out.extend(layer)
     return sorted(out)
 
 
 def _hop_targets(
     indexes: GraphIndexes, node: str, edge: EdgePattern, forward: bool
 ) -> List[str]:
-    neighbor_fn = _neighbor_fn(indexes, edge, forward)
+    direction = _direction(edge, forward)
     if not edge.is_variable:
-        return list(neighbor_fn(node))
-    return reachable(neighbor_fn, node, edge.min_hops, edge.max_hops)
+        return indexes.neighbors(node, edge.types, direction)
+    return reachable(
+        lambda at: indexes.runs(at, edge.types, direction),
+        node,
+        edge.min_hops,
+        edge.max_hops,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +440,12 @@ def shortest_path(
 ) -> List[str]:
     """Deterministic multi-source BFS shortest path (node-id list).
 
-    Traverses the undirected neighbour maps of the chosen edge types
+    Traverses the undirected neighbour runs of the chosen edge types
     (all four when empty); returns ``[]`` when no path exists. Ties
-    break toward lexicographically smaller expansion order.
+    break toward lexicographically smaller expansion order: each node's
+    runs are merged in sorted order. A clique expanded once has every
+    member visited, so it is skipped at its other members; that changes
+    no parent and no order.
     """
     target_set = set(targets)
     parents: Dict[str, Optional[str]] = {}
@@ -424,9 +456,11 @@ def shortest_path(
         if source in target_set:
             return [source]
     types = tuple(edge_types)
+    expanded: set = set()
     while queue:
         node = queue.popleft()
-        for other in indexes.neighbors(node, types, "any"):
+        fresh = _unexpanded(indexes.runs(node, types, "any"), expanded)
+        for other in fresh[0] if len(fresh) == 1 else sorted(chain.from_iterable(fresh)):
             if other in parents:
                 continue
             parents[other] = node
@@ -453,17 +487,9 @@ def neighborhood(
         raise QueryError(f"neighborhood radius must be >= 0, got {k}")
     types = tuple(edge_types)
     distance: Dict[str, int] = {source: 0 for source in sources}
-    frontier = sorted(distance)
-    depth = 0
-    while frontier and depth < k:
-        depth += 1
-        next_frontier: set = set()
-        for node in frontier:
-            for other in indexes.neighbors(node, types, "any"):
-                if other not in distance:
-                    distance[other] = depth
-                    next_frontier.add(other)
-        frontier = sorted(next_frontier)
+    layers = _layers(lambda node: indexes.runs(node, types, "any"), sources, k)
+    for depth, layer in layers:
+        distance.update(dict.fromkeys(layer, depth))
     return sorted(distance.items(), key=lambda pair: (pair[1], pair[0]))
 
 

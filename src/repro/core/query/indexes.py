@@ -3,12 +3,23 @@
 The executor never walks :class:`~repro.core.graph.PropertyGraph`
 structures directly: a :class:`GraphIndexes` snapshot materialises
 
-* **per-edge-type neighbour maps** — forward (``out``), reverse
-  (``into``) and undirected (``any_dir``) sorted neighbour tuples, with
-  cliques expanded.  The symmetric relations (duplicated / similar /
-  co-existing) share one map for all three directions; dependency gets
-  true directed maps when built over a :class:`MalGraph` (each linked
-  node's declared dependencies say who depends on whom);
+* **per-edge-type adjacency tables** (:class:`EdgeTables`), kept in the
+  shape the graph stores each relation: one sorted member tuple per live
+  clique slot, each node's clique slots, and each node's sorted pairwise
+  neighbours. The duplicated, similar and co-existing relations are
+  cliques (Table II counts 5.3M similar edges over 6,320 nodes), so a
+  ``k``-member clique costs ``k`` table entries here, not the
+  ``k * (k - 1)`` of a neighbour list per member. The snapshot owns its
+  tables: nothing aliases the graph's mutable sets or membership lists,
+  which the service's refresh mutates in place.
+  :meth:`GraphIndexes.neighbors` answers from a node's runs (one run is
+  the tuple minus the node; several are merged), and the traversals
+  read the runs keyed by clique (:meth:`GraphIndexes.runs`) so they
+  expand each clique once. Dependency additionally gets true directed
+  ``out`` / ``into`` maps when built over a :class:`MalGraph` (each
+  linked node's declared dependencies say who depends on whom); a type
+  without them is symmetric and answers every direction from its
+  tables;
 * **node-attribute maps** — every node's merged attributes (the graph's
   seven plus, over a ``MalGraph``, the dataset's ground-truth
   ``campaign`` / ``actor`` / ``family`` / ``archetype`` / ``downloads``
@@ -30,22 +41,26 @@ the graph, keyed on the same mutation counter: when a cached snapshot is
 stale but an unbroken ``from_version -> to_version`` patch chain covers
 the gap, :func:`graph_indexes` derives the next snapshot from it
 (:func:`apply_index_patches`) instead of rebuilding from scratch. The
-derivation is copy-on-write. It is O(touched nodes) for attrs,
-neighbour tuples and attribute buckets, and O(touched groups) to
-re-rank the DG/DeG/SG/CG groups. Group ids are positional, so every
-group whose id shifts is rewritten: that part is O(renumbered groups).
-The shallow copies of the top-level tables (``attrs``, each ``any_dir``
-map, ``groups_of``) stay O(N), and the directed dependency maps take
-one pass over the dependency-linked nodes. Any version gap the journal
-cannot bridge (direct graph mutation, journal trimmed) falls back to a
-full rebuild, so a stale read is impossible either way.
+derivation is copy-on-write. It is O(touched nodes) for attrs and
+attribute buckets, O(touched clique sizes) for the adjacency tables (a
+clique slot the chain tombstoned is dropped, one it added is sorted
+once), and O(touched groups) to re-rank the DG/DeG/SG/CG groups. Group
+ids are positional, so every group whose id shifts is rewritten: that
+part is O(renumbered groups). The shallow copies of the top-level tables
+(``attrs``, ``groups_of`` and the touched types' adjacency tables) stay
+O(N), and the directed dependency maps take one pass over the
+dependency-linked nodes. Any version gap the journal cannot bridge
+(direct graph mutation, journal trimmed) falls back to a full rebuild,
+so a stale read is impossible either way.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.graph import EdgeType, PropertyGraph
 
@@ -66,12 +81,37 @@ INDEXED_ATTRS = (
 )
 
 _EMPTY: Tuple[str, ...] = ()
+_ALL_TYPES: Tuple[EdgeType, ...] = tuple(EdgeType)
 
 #: a group's position key among the groups of its kind: (-size, node id
 #: of its earliest member), the order ``groups_from_components`` sorts by
 RankKey = Tuple[int, str]
 #: one kind's groups in id order, each as (rank key, sorted members)
 RankedGroups = Tuple[Tuple[RankKey, Tuple[str, ...]], ...]
+#: one sorted run of a node's neighbourhood, keyed ``(edge type, clique
+#: slot)`` when it is a clique (which holds the node itself) and None
+#: when it is a pairwise or directed neighbour tuple
+Run = Tuple[Optional[Tuple[EdgeType, int]], Tuple[str, ...]]
+
+
+@dataclass(frozen=True)
+class EdgeTables:
+    """One edge type's adjacency, in the shape the graph stores it."""
+
+    #: live clique slot (the graph's stable clique index) -> sorted members
+    cliques: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+    #: node -> the slots of the live cliques holding it, ascending
+    slots_of: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
+    #: node -> its sorted pairwise neighbours
+    pairwise: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
+
+    def runs_of(self, node: str) -> List[Tuple[str, ...]]:
+        """The node's pairwise tuple and clique tuples (unkeyed)."""
+        found = [self.cliques[slot] for slot in self.slots_of.get(node, ())]
+        pairwise = self.pairwise.get(node)
+        if pairwise:
+            found.append(pairwise)
+        return found
 
 
 @dataclass
@@ -80,9 +120,11 @@ class GraphIndexes:
 
     nodes: Tuple[str, ...]
     attrs: Dict[str, Dict[str, Any]]
+    adjacency: Dict[EdgeType, EdgeTables]
+    #: directed neighbour maps of the edge types that have a direction
+    #: (dependency over a ``MalGraph``); a type absent here is symmetric
     out: Dict[EdgeType, Dict[str, Tuple[str, ...]]]
     into: Dict[EdgeType, Dict[str, Tuple[str, ...]]]
-    any_dir: Dict[EdgeType, Dict[str, Tuple[str, ...]]]
     by_attr: Dict[str, Dict[Any, Tuple[str, ...]]]
     group_members: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     groups_of: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
@@ -100,32 +142,61 @@ class GraphIndexes:
         """Sorted node ids with ``attr == value`` (indexed attrs only)."""
         return self.by_attr.get(attr, {}).get(value, _EMPTY)
 
-    def direction_map(
-        self, edge_type: EdgeType, direction: str
-    ) -> Dict[str, Tuple[str, ...]]:
-        if direction == "out":
-            return self.out[edge_type]
-        if direction == "in":
-            return self.into[edge_type]
-        return self.any_dir[edge_type]
+    def runs(
+        self,
+        node: str,
+        types: Sequence[EdgeType] = (),
+        direction: str = "any",
+    ) -> List[Run]:
+        """The sorted runs whose union, minus ``node``, is its
+        neighbourhood over the chosen types/direction.
+
+        ``types`` empty means every edge type. A clique run carries its
+        key and holds ``node`` itself; once a traversal has expanded a
+        clique from one member, every other member is already visited, so
+        it may skip that key from then on.
+        """
+        directed_maps = {"out": self.out, "in": self.into}.get(direction, {})
+        found: List[Run] = []
+        for edge_type in types or _ALL_TYPES:
+            directed = directed_maps.get(edge_type)
+            if directed is not None:
+                run = directed.get(node)
+                if run:
+                    found.append((None, run))
+                continue
+            tables = self.adjacency[edge_type]
+            run = tables.pairwise.get(node)
+            if run:
+                found.append((None, run))
+            cliques = tables.cliques
+            for slot in tables.slots_of.get(node, ()):
+                found.append(((edge_type, slot), cliques[slot]))
+        return found
 
     def neighbors(
         self,
         node: str,
         types: Sequence[EdgeType] = (),
         direction: str = "any",
+        limit: Optional[int] = None,
     ) -> List[str]:
-        """Sorted neighbours of ``node`` over the chosen types/direction.
+        """Sorted distinct neighbours of ``node`` over the chosen
+        types/direction, the first ``limit`` of them when given.
 
         ``types`` empty means every edge type.
         """
-        chosen = tuple(types) if types else tuple(EdgeType)
-        if len(chosen) == 1:
-            return list(self.direction_map(chosen[0], direction).get(node, _EMPTY))
-        merged: set = set()
-        for edge_type in chosen:
-            merged.update(self.direction_map(edge_type, direction).get(node, _EMPTY))
-        return sorted(merged)
+        # the runs of runs(), gathered unkeyed: a fixed hop calls this
+        # once per bound node, and the keys would only be thrown away
+        directed_maps = {"out": self.out, "in": self.into}.get(direction, {})
+        found: List[Tuple[str, ...]] = []
+        for edge_type in types or _ALL_TYPES:
+            directed = directed_maps.get(edge_type)
+            if directed is None:
+                found += self.adjacency[edge_type].runs_of(node)
+            elif node in directed:
+                found.append(directed[node])
+        return _union(found, node, limit) if found else []
 
     def candidate_count(self, attr: str, value: Any) -> Optional[int]:
         """Selectivity estimate for ``attr == value``; None if unindexed."""
@@ -139,23 +210,61 @@ class GraphIndexes:
 # Construction
 # ---------------------------------------------------------------------------
 
-def _adjacency(graph: PropertyGraph) -> Dict[EdgeType, Dict[str, Tuple[str, ...]]]:
-    """Undirected neighbour tuples per edge type, cliques expanded."""
-    maps: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
-    for edge_type in EdgeType:
-        per_node: Dict[str, Tuple[str, ...]] = {}
-        for node in graph.touched_nodes(edge_type):
-            per_node[node] = tuple(sorted(graph.neighbors(node, edge_type)))
-        maps[edge_type] = per_node
-    return maps
+def _union(
+    runs: Sequence[Tuple[str, ...]], node: str, limit: Optional[int] = None
+) -> List[str]:
+    """The sorted distinct union of ``runs`` without ``node``, cut to its
+    first ``limit`` entries when given (only those are merged)."""
+    if len(runs) == 1:
+        merged = list(runs[0] if limit is None else runs[0][: limit + 1])
+        at = bisect_left(merged, node)
+        if at < len(merged) and merged[at] == node:
+            del merged[at]
+        return merged if limit is None else merged[:limit]
+    if limit is None:
+        distinct = set().union(*runs)
+        distinct.discard(node)
+        return sorted(distinct)
+    found: List[str] = []
+    last = None
+    if limit > 0:
+        for other in heapq.merge(*runs):
+            if other == last or other == node:
+                continue
+            last = other
+            found.append(other)
+            if len(found) == limit:
+                break
+    return found
+
+
+def _edge_tables(graph: PropertyGraph, edge_type: EdgeType) -> EdgeTables:
+    """One type's tables, copied out of the graph's clique slots and
+    pairwise adjacency."""
+    cliques = {
+        slot: tuple(sorted(members))
+        for slot, members in graph.live_cliques(edge_type)
+    }
+    slots_of: Dict[str, List[int]] = {}
+    for slot, members in cliques.items():
+        for member in members:
+            slots_of.setdefault(member, []).append(slot)
+    return EdgeTables(
+        cliques=cliques,
+        slots_of={node: tuple(slots) for node, slots in slots_of.items()},
+        pairwise={
+            node: tuple(sorted(others))
+            for node, others in graph.pairwise_adjacency(edge_type)
+        },
+    )
 
 
 def _directed_dependency(
-    linked: Dict[str, Tuple[str, ...]],
+    linked: EdgeTables,
     attrs: Dict[str, Dict[str, Any]],
     dataset,
 ) -> Tuple[Dict[str, Tuple[str, ...]], Dict[str, Tuple[str, ...]]]:
-    """(out, into) dependency maps from the undirected ``linked`` tuples.
+    """(out, into) dependency maps from the undirected ``linked`` tables.
 
     A linked pair ``u -> v`` iff ``u`` holds an artifact that declares
     ``v``'s name: exactly the pairs the dependency edge builder links
@@ -165,7 +274,7 @@ def _directed_dependency(
 
     forward: Dict[str, Tuple[str, ...]] = {}
     backward: Dict[str, List[str]] = {}
-    for u, neighbours in linked.items():
+    for u in linked.slots_of.keys() | linked.pairwise.keys():
         held = attrs[u]
         entry = dataset.get(
             PackageId(held["ecosystem"], held["name"], held["version"])
@@ -173,7 +282,9 @@ def _directed_dependency(
         if entry is None or not entry.available:
             continue
         declared = set(entry.artifact.metadata.dependencies)
-        targets = tuple(v for v in neighbours if attrs[v]["name"] in declared)
+        targets = tuple(
+            v for v in _union(linked.runs_of(u), u) if attrs[v]["name"] in declared
+        )
         if targets:
             forward[u] = targets
             for v in targets:
@@ -190,9 +301,9 @@ def build_indexes(
         node: {"id": node, **graph.node(node)} for node in graph.nodes()
     }
 
-    any_dir = _adjacency(graph)
-    out = dict(any_dir)
-    into = dict(any_dir)
+    adjacency = {edge_type: _edge_tables(graph, edge_type) for edge_type in EdgeType}
+    out: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
+    into: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
 
     group_members: Dict[str, Tuple[str, ...]] = {}
     groups_of: Dict[str, Tuple[str, ...]] = {}
@@ -201,7 +312,7 @@ def build_indexes(
         from repro.core.edges import node_id
 
         out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
-            any_dir[EdgeType.DEPENDENCY], attrs, malgraph.dataset
+            adjacency[EdgeType.DEPENDENCY], attrs, malgraph.dataset
         )
 
         for entry in malgraph.dataset.entries:
@@ -226,9 +337,9 @@ def build_indexes(
     return GraphIndexes(
         nodes=tuple(sorted(attrs)),
         attrs=attrs,
+        adjacency=adjacency,
         out=out,
         into=into,
-        any_dir=any_dir,
         by_attr={
             attr: {value: tuple(nodes) for value, nodes in buckets.items()}
             for attr, buckets in by_attr.items()
@@ -244,8 +355,6 @@ def build_indexes(
 # ---------------------------------------------------------------------------
 # Incremental patching (fed by the delta engine)
 # ---------------------------------------------------------------------------
-
-from typing import FrozenSet  # noqa: E402  (kept near its sole users)
 
 #: journal length bound; a chain the trimmed journal cannot cover simply
 #: falls back to a full rebuild
@@ -302,12 +411,16 @@ def apply_index_patches(
     derived from ``held`` and the patch chain that led from its version
     to the graph's.
 
-    Copy-on-write: untouched attr dicts, neighbour tuples, group tuples
+    Copy-on-write: untouched attr dicts, adjacency rows, group tuples
     and inverted-index buckets are shared with ``held`` (both snapshots
     are immutable by convention). Per chain the work is
 
-    * O(touched nodes): refreshed attr dicts, neighbour tuples and the
-      inverted-index buckets their own attributes left or joined;
+    * O(touched nodes): refreshed attr dicts, the touched nodes' slot
+      lists and pairwise tuples, and the inverted-index buckets their
+      own attributes left or joined;
+    * O(touched clique sizes): a clique slot the chain tombstoned is
+      dropped and one it added is sorted once
+      (:func:`_patch_edge_tables`); untouched cliques are shared;
     * O(touched groups) to re-derive DG/DeG/SG/CG groups: a kind's
       groups holding a node the chain touched for that kind's edge type
       (or removed, or refreshed) are replaced by those nodes' final
@@ -318,10 +431,10 @@ def apply_index_patches(
     * O(renumbered groups): ids are positional (``{kind}-{i:04d}``), so
       every id that now names different members rewrites its members'
       group attributes, ``groups_of`` entries and id bucket;
-    * O(N) shallow copies of the top-level tables (``attrs``, each
-      ``any_dir`` map, ``groups_of``) and, over a ``MalGraph``, one pass
-      over the dependency-linked nodes for the directed maps
-      (:func:`_directed_dependency`).
+    * O(N) shallow copies of the top-level tables (``attrs``,
+      ``groups_of`` and the touched types' adjacency tables) and, over a
+      ``MalGraph``, one pass over the dependency-linked nodes for the
+      directed maps (:func:`_directed_dependency`).
     """
     removed_any: set = set()
     refreshed_any: set = set()
@@ -349,21 +462,15 @@ def apply_index_patches(
             _enrich_attrs(fresh, malgraph.dataset.get(package))
         attrs[node] = fresh
 
-    any_dir: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
+    adjacency = dict(held.adjacency)
+    out: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
+    into: Dict[EdgeType, Dict[str, Tuple[str, ...]]] = {}
     for edge_type in EdgeType:
-        per_node = dict(held.any_dir[edge_type])
-        for node in touched[edge_type] | final_removed:
-            if not graph.has_node(node):
-                per_node.pop(node, None)
-                continue
-            found = graph.neighbors(node, edge_type)
-            if found:
-                per_node[node] = tuple(sorted(found))
-            else:
-                per_node.pop(node, None)
-        any_dir[edge_type] = per_node
-    out = dict(any_dir)
-    into = dict(any_dir)
+        nodes = touched[edge_type] | final_removed
+        if nodes:
+            adjacency[edge_type] = _patch_edge_tables(
+                held.adjacency[edge_type], graph, edge_type, nodes
+            )
 
     by_attr = _patch_by_attr(held, attrs, final_removed | final_refresh)
     group_members = held.group_members
@@ -371,7 +478,7 @@ def apply_index_patches(
     group_ranks = held.group_ranks
     if malgraph is not None:
         out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
-            any_dir[EdgeType.DEPENDENCY], attrs, malgraph.dataset
+            adjacency[EdgeType.DEPENDENCY], attrs, malgraph.dataset
         )
         group_members, groups_of, group_ranks = _rerank_groups(
             held,
@@ -387,9 +494,9 @@ def apply_index_patches(
     return GraphIndexes(
         nodes=held.nodes if unchanged else tuple(sorted(attrs)),
         attrs=attrs,
+        adjacency=adjacency,
         out=out,
         into=into,
-        any_dir=any_dir,
         by_attr=by_attr,
         group_members=group_members,
         groups_of=groups_of,
@@ -397,6 +504,47 @@ def apply_index_patches(
         version=graph.version,
         enriched=held.enriched,
     )
+
+
+def _patch_edge_tables(
+    held: EdgeTables, graph: PropertyGraph, edge_type: EdgeType, nodes: set
+) -> EdgeTables:
+    """``held`` with the rows of ``nodes`` re-read from the graph.
+
+    A clique never changes members, so a node leaves a slot only when the
+    slot is tombstoned: a held slot a node no longer holds is dropped,
+    and a live slot the snapshot lacks is added as a sorted tuple. The
+    delta engine touches every member of a clique it tombstones or adds,
+    so ``nodes`` covers every changed slot and the cost is the touched
+    cliques' sizes plus the copies of the three tables.
+    """
+    cliques = dict(held.cliques)
+    slots_of = dict(held.slots_of)
+    pairwise = dict(held.pairwise)
+    incident = graph.incident_groups_fn(edge_type)
+    for node in nodes:
+        live: List[int] = []
+        linked: Tuple[str, ...] = _EMPTY
+        if graph.has_node(node):
+            for (kind, key), members in incident(node):
+                if kind == "p":
+                    linked = tuple(sorted(members))
+                    continue
+                live.append(key)
+                if key not in cliques:
+                    cliques[key] = tuple(sorted(members))
+        for slot in held.slots_of.get(node, ()):
+            if slot not in live:
+                cliques.pop(slot, None)
+        if live:
+            slots_of[node] = tuple(sorted(live))
+        else:
+            slots_of.pop(node, None)
+        if linked:
+            pairwise[node] = linked
+        else:
+            pairwise.pop(node, None)
+    return EdgeTables(cliques=cliques, slots_of=slots_of, pairwise=pairwise)
 
 
 #: the per-node group-id attributes of an enriched snapshot

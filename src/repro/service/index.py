@@ -257,10 +257,9 @@ class IntelIndex:
         return list(self._actors_of.get(pid, ()))
 
     def related(self, pid, limit: int = 25) -> List[str]:
-        """Graph-neighbour node ids across every edge type (capped)."""
-        nid = node_id(pid)
-        # neighbors() over every type is already sorted and distinct
-        return [n for n in self.indexes.neighbors(nid) if n != nid][:limit]
+        """The first ``limit`` graph-neighbour node ids across every edge
+        type, in sorted order (only those are merged)."""
+        return self.indexes.neighbors(node_id(pid), limit=limit)
 
     def near_names(
         self, name: str, ecosystem: Optional[str] = None, max_distance: int = 2

@@ -13,6 +13,8 @@ from repro.core.malgraph import MalGraph
 from repro.core.query import build_indexes, graph_indexes
 from repro.ecosystem.package import PackageId
 
+from tests.core.index_oracle import assert_same_indexes
+
 
 @pytest.fixture()
 def graph() -> PropertyGraph:
@@ -64,6 +66,78 @@ def test_symmetric_types_ignore_direction(graph):
             "n0",
             "n2",
         ]
+
+
+def test_each_clique_is_stored_once(graph):
+    indexes = build_indexes(graph)
+    tables = indexes.adjacency[EdgeType.COEXISTING]
+    assert tables.cliques == {0: ("n2", "n3", "n4")}
+    assert tables.slots_of == {"n2": (0,), "n3": (0,), "n4": (0,)}
+    assert tables.pairwise == {}
+    assert indexes.adjacency[EdgeType.SIMILAR].pairwise == {
+        "n0": ("n1",),
+        "n1": ("n0", "n2"),
+        "n2": ("n1",),
+    }
+    # the clique run carries its key and the node itself
+    assert indexes.runs("n3", (EdgeType.COEXISTING,)) == [
+        ((EdgeType.COEXISTING, 0), ("n2", "n3", "n4"))
+    ]
+
+
+def test_snapshot_owns_its_tables(graph):
+    """The graph mutates in place under a served snapshot: no table may
+    alias the graph's sets or membership lists."""
+    indexes = build_indexes(graph)
+    before = {node: indexes.neighbors(node) for node in indexes.nodes}
+    graph.add_edge("n0", "n5", EdgeType.SIMILAR)
+    graph.add_edge("n3", "n5", EdgeType.COEXISTING)
+    graph.remove_edge("n4", "n5", EdgeType.DEPENDENCY)
+    graph.remove_clique_at(EdgeType.COEXISTING, 0)
+    graph.add_clique(["n0", "n3"], EdgeType.COEXISTING)
+    assert {node: indexes.neighbors(node) for node in indexes.nodes} == before
+
+
+def test_related_merges_overlapping_cliques_and_pairwise_edges():
+    """alpha sits in a duplicated clique (twin shares its code), two
+    co-existing cliques (two reports) and pairwise dependency edges."""
+    from repro.service.index import IntelIndex
+
+    from tests.core.helpers import dataset, entry, report
+
+    code = "def payload():\n    return 'alpha'\n"
+    alpha, twin = entry("alpha", code=code), entry("twin", code=code)
+    others = [
+        entry(name, code=f"def f():\n    return {name!r}\n", dependencies=deps)
+        for name, deps in (
+            ("beta", ()), ("gamma", ()), ("delta", ()),
+            ("echo", ("alpha",)), ("foxtrot", ("alpha",)), ("golf", ()),
+        )
+    ]
+    beta, gamma, delta = (e.package for e in others[:3])
+    ds = dataset(
+        [alpha, twin, *others],
+        [
+            report("r-0", [alpha.package, beta, gamma]),
+            report("r-1", [alpha.package, delta]),
+        ],
+    )
+    malgraph = MalGraph.build(ds)
+    index = IntelIndex.build(malgraph)
+    node = node_id(alpha.package)
+    coexisting = index.indexes.adjacency[EdgeType.COEXISTING]
+    assert len(coexisting.slots_of[node]) == 2
+    assert index.indexes.adjacency[EdgeType.DUPLICATED].slots_of[node]
+    assert len(index.indexes.adjacency[EdgeType.DEPENDENCY].pairwise[node]) == 2
+
+    union = sorted(
+        set().union(*(malgraph.graph.neighbors(node, t) for t in EdgeType))
+    )
+    assert len(union) >= 6
+    for limit in (1, len(union) - 1, len(union), len(union) + 5, 25):
+        assert index.related(alpha.package, limit=limit) == union[:limit], limit
+    assert index.related(alpha.package, limit=0) == []
+    assert index.related(entry("nobody").package) == []
 
 
 # ---------------------------------------------------------------------------
@@ -262,19 +336,6 @@ def test_concurrent_first_build_happens_once(graph, monkeypatch):
 # Delta patching: apply_delta journals patches instead of forcing rebuilds
 # ---------------------------------------------------------------------------
 
-def _assert_same_indexes(held, fresh):
-    assert held.nodes == fresh.nodes
-    assert held.attrs == fresh.attrs
-    assert held.out == fresh.out
-    assert held.into == fresh.into
-    assert held.any_dir == fresh.any_dir
-    assert held.by_attr == fresh.by_attr
-    assert held.group_members == fresh.group_members
-    assert held.groups_of == fresh.groups_of
-    assert held.version == fresh.version
-    assert held.enriched == fresh.enriched
-
-
 _SHARED = "def payload():\n    return 'twin'\n"
 _PAIR = "def pair():\n    return 'pair'\n"
 _FRONT = "def front():\n    return 'front'\n"
@@ -346,9 +407,9 @@ def test_apply_delta_patches_cached_indexes_without_rebuild(monkeypatch):
     assert _dg_id(enriched_after, "aaa-one") == "DG-0000"
     assert _dg_id(enriched_before, "bravo") == "DG-0001"
     assert _dg_id(enriched_after, "bravo") == "DG-0002"
-    _assert_same_indexes(plain_after, build_indexes(malgraph.graph))
-    _assert_same_indexes(
-        enriched_after, build_indexes(malgraph.graph, malgraph)
+    assert_same_indexes(plain_after, build_indexes(malgraph.graph), malgraph.graph)
+    assert_same_indexes(
+        enriched_after, build_indexes(malgraph.graph, malgraph), malgraph.graph
     )
 
 
@@ -389,7 +450,9 @@ def test_patch_chain_matches_a_cold_build(monkeypatch, batches):
     monkeypatch.undo()
 
     assert after is not before
-    _assert_same_indexes(after, build_indexes(malgraph.graph, malgraph))
+    assert_same_indexes(
+        after, build_indexes(malgraph.graph, malgraph), malgraph.graph
+    )
 
 
 def test_stale_index_reads_after_apply_delta_are_impossible():
@@ -439,4 +502,4 @@ def test_direct_mutation_falls_back_to_full_rebuild():
     after = graph_indexes(malgraph.graph)
     assert after is not before
     assert "rogue" in after.nodes
-    _assert_same_indexes(after, build_indexes(malgraph.graph))
+    assert_same_indexes(after, build_indexes(malgraph.graph), malgraph.graph)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import operator
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.graph import EdgeType, PropertyGraph
@@ -300,3 +299,96 @@ def test_multi_hop_where_matches_reference(data, query):
     expected = _reference_rows(attrs, adjacency, *spec)
     assert list(engine.run(text).rows) == expected, text
     assert list(engine.run(text, naive=True).rows) == expected, text
+
+
+# ---------------------------------------------------------------------------
+# Clique-once traversals == per-node BFS over neighbors()
+# ---------------------------------------------------------------------------
+
+#: every *lo..hi range the traversal test asks (None: unbounded)
+_RANGES = ((1, 1), (1, 2), (2, 2), (2, 3), (1, 3), (3, 4), (1, None), (2, None))
+
+
+@st.composite
+def clique_graphs(draw):
+    """Indexes over overlapping cliques (some tombstoned) and pairwise
+    edges of every type, with directed dependency maps, and its nodes."""
+    n = draw(st.integers(2, 9))
+    nodes = [f"n{idx}" for idx in range(n)]
+    graph = PropertyGraph()
+    for node in nodes:
+        graph.add_node(node, name=f"pkg{node[1:]}")
+    members = st.lists(st.sampled_from(nodes), min_size=2, max_size=n, unique=True)
+    pairs = st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        max_size=8,
+    )
+    out, into = {}, {}
+    for edge_type in EdgeType:
+        cliques = draw(st.lists(members, max_size=4))
+        slots = [graph.add_clique(clique, edge_type) for clique in cliques]
+        if slots and draw(st.booleans()):
+            graph.remove_clique_at(edge_type, draw(st.sampled_from(slots)))
+        for u, v in draw(pairs):
+            graph.add_edge(u, v, edge_type)
+            if edge_type is EdgeType.DEPENDENCY:
+                out.setdefault(u, set()).add(v)
+                into.setdefault(v, set()).add(u)
+    indexes = build_indexes(graph)
+    for held, found in ((indexes.out, out), (indexes.into, into)):
+        held[EdgeType.DEPENDENCY] = {
+            node: tuple(sorted(others)) for node, others in found.items()
+        }
+    return indexes, nodes
+
+
+@given(clique_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_clique_once_traversals_match_per_node_bfs(data, draw):
+    from repro.core.query import neighborhood, shortest_path
+
+    from tests.core.index_oracle import (
+        bfs_neighborhood,
+        bfs_reachable,
+        bfs_shortest_path,
+    )
+
+    indexes, nodes = data
+    engine = QueryEngine.pinned(indexes)
+    types = tuple(
+        draw.draw(st.lists(st.sampled_from(list(EdgeType)), unique=True, max_size=3))
+    )
+    inner = "|".join(t.value for t in types)
+    start = draw.draw(st.sampled_from(nodes))
+    flipped = {"any": "any", "out": "in", "in": "out"}
+    for direction, head, tail in (("any", "-", "-"), ("out", "-", "->"), ("in", "<-", "-")):
+        for lo, hi in _RANGES:
+            hop = f"{head}[{inner}*{lo}..{'' if hi is None else hi}]{tail}"
+            # seeded left: the hop runs forward; seeded right: backward
+            rows = engine.run(f"MATCH (a){hop}(b) WHERE a.id = '{start}' RETURN b").rows
+            assert [b for (b,) in rows] == bfs_reachable(
+                indexes, start, types, direction, lo, hi
+            ), (hop, start)
+            rows = engine.run(f"MATCH (a){hop}(b) WHERE b.id = '{start}' RETURN a").rows
+            assert [a for (a,) in rows] == bfs_reachable(
+                indexes, start, types, flipped[direction], lo, hi
+            ), (hop, start)
+
+    node_sets = st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True)
+    sources, targets = draw.draw(node_sets), draw.draw(node_sets)
+    for k in range(5):
+        assert neighborhood(indexes, sources, k, types) == bfs_neighborhood(
+            indexes, sources, k, types
+        )
+    assert shortest_path(indexes, sources, targets, types) == bfs_shortest_path(
+        indexes, sources, targets, types
+    )
+    typed = f", '{inner}'" if inner else ""
+    rows = engine.run(f"CALL neighborhood('{start}', 2{typed})").rows
+    assert list(rows) == bfs_neighborhood(indexes, [start], 2, types)
+    rows = engine.run(f"CALL shortest_path('{start}', '{targets[0]}'{typed})").rows
+    assert [node for _, node in rows] == bfs_shortest_path(
+        indexes, [start], [targets[0]], types
+    )

@@ -26,6 +26,7 @@ from repro.service.index import CAMPAIGN_KINDS, FAMILY_KINDS, IntelIndex
 from repro.service.refresh import refresh_from_events, refresh_index
 
 from tests.core.helpers import dataset, entry, report
+from tests.core.index_oracle import assert_same_indexes
 
 
 def _service(ds):
@@ -449,15 +450,13 @@ _step = st.tuples(
     st.integers(min_value=0, max_value=50),
 )
 
-#: the GraphIndexes fields a refreshed snapshot must share with a cold build
-_INDEX_FIELDS = ("nodes", "attrs", "out", "into", "any_dir", "by_attr",
-                 "group_members", "groups_of")
-
-
 def _assert_index_matches_cold_build(index: IntelIndex, malgraph: MalGraph):
     cold = build_indexes(malgraph.graph, malgraph)
-    for field in _INDEX_FIELDS:
-        assert getattr(index.indexes, field) == getattr(cold, field), field
+    assert_same_indexes(index.indexes, cold, malgraph.graph)
+    for held in malgraph.dataset.entries:
+        assert index.related(held.package) == cold.neighbors(
+            node_id(held.package)
+        )[:25]
 
 
 class _Script:
