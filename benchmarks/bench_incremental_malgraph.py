@@ -9,9 +9,12 @@ For each world scale it:
 1. cold-builds the MALGRAPH (the rebuild baseline);
 2. applies a realistic event batch (removals + detections + publishes +
    one report, capped at ~1% of the corpus) through the delta engine —
-   the *first* apply also pays the one-time ``DeltaState`` bootstrap
-   (embedding the whole corpus into the per-SHA cache), reported
-   separately because a live service pays it once per process;
+   the *first* apply also pays the one-time ``DeltaState`` bootstrap,
+   reported separately. The graph here is built without a store, so
+   that bootstrap embeds the whole corpus into the per-SHA cache, as a
+   live service over a store-less graph does once per process; a graph
+   built or loaded with a pipeline store reads those vectors from it
+   instead;
 3. applies a second batch at steady state — the number that matters for
    a continuously-ingesting service — and then reads the graph's query
    indexes (``index_patch_s``): the snapshot read before the batch is

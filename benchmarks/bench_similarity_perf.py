@@ -4,7 +4,7 @@ Standalone script (not a pytest bench) so CI can run it in fast mode:
 
     PYTHONPATH=src python benchmarks/bench_similarity_perf.py --fast
 
-Three comparisons, each with a hard correctness gate before any number
+Four comparisons, each with a hard correctness gate before any number
 is reported:
 
 1. **serial vs parallel** ``MalGraph.build`` — the parallel graph must
@@ -15,7 +15,15 @@ is reported:
    groups; and the delta engine's ``IncrementalSimilarStage``, run on
    a memory-only store a cold build just filled, must embed nothing
    and return the same groups, labels and ``kmeans_k``;
-3. **cold vs warm-start** ``grow_kmeans`` — on recoverable structure the
+3. **first delta on a graph loaded from disk** — one
+   ``PipelineRuntime`` warms a temporary disk store and a second one,
+   with a fresh ``ArtifactStore`` over it, loads the MALGRAPH (as a new
+   process serving a cached corpus does). That graph's first
+   ``apply_delta``, given no store, must embed nothing (every vector
+   comes from the disk tier of the store the graph records) and must
+   equal the same batch applied to a graph built without a store, byte
+   for byte after canonical serialisation;
+4. **cold vs warm-start** ``grow_kmeans`` — on recoverable structure the
    warm-started growth loop must reach the identical partition, in no
    more total Lloyd iterations.
 
@@ -26,6 +34,7 @@ parallel win); the correctness gates do not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import shutil
 import sys
@@ -35,11 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.delta import GraphEvent
 from repro.core.delta.similar import IncrementalSimilarStage
 from repro.core.kmeans import grow_kmeans
 from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig, cluster_artifacts
-from repro.io.malgraphs import malgraph_to_dict
+from repro.io.malgraphs import canonical_malgraph_json, malgraph_to_dict
+from repro.pipeline import PipelineReport, PipelineRuntime
 from repro.pipeline.store import ArtifactStore
 from repro.world import WorldConfig, build_world, collect
 
@@ -142,6 +153,56 @@ def bench_embedding_cache(entries, rounds: int) -> None:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
+def bench_loaded_graph_delta(config: WorldConfig) -> None:
+    print("\n== first delta on a graph loaded from a warm disk store ==")
+    cache_dir = Path(tempfile.mkdtemp(prefix="bench-loaded-graph-"))
+
+    def runtime() -> PipelineRuntime:
+        return PipelineRuntime(
+            config,
+            store=ArtifactStore(cache_dir=cache_dir, disk_enabled=True),
+            report=PipelineReport(),
+        )
+
+    try:
+        runtime().warm()
+        fresh = runtime()
+        loaded = fresh.malgraph()
+        assert loaded.store is fresh.store, "the loaded graph lost its store"
+        # a removal and a detection: the batch publishes no new payload
+        gone, seen = [
+            e for e in loaded.dataset.available_entries() if e.artifact.code_files()
+        ][:2]
+        events = [
+            GraphEvent.package_removed(gone.package),
+            GraphEvent.package_detected(
+                dataclasses.replace(seen, downloads=seen.downloads + 1)
+            ),
+        ]
+        storeless = MalGraph.build(loaded.dataset)
+        storeless_s, (expected, storeless_delta) = _timed(
+            lambda: storeless.apply_delta(events), 1
+        )
+        loaded_s, (evolved, delta) = _timed(lambda: loaded.apply_delta(events), 1)
+        assert delta.embed_cache_misses == 0, "a loaded graph re-embedded vectors"
+        assert canonical_malgraph_json(evolved) == canonical_malgraph_json(
+            expected
+        ), "a loaded graph's delta differs from a store-less one"
+        unique = delta.embed_cache_hits
+        print(
+            f"store-less first apply {storeless_s:8.3f}s"
+            f"   ({storeless_delta.embed_cache_misses}/{unique} embedded)"
+        )
+        print(
+            f"loaded     first apply {loaded_s:8.3f}s"
+            f"   speedup {storeless_s / loaded_s:5.2f}x"
+            f"   (disk tier, re-embeds skipped: {unique}/{unique},"
+            " byte-identical: yes)"
+        )
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+
+
 def bench_warm_start(rounds: int) -> None:
     print("\n== cold vs warm-start grow_kmeans (separable structure) ==")
 
@@ -190,13 +251,15 @@ def main(argv=None) -> int:
         args.scale, args.rounds = 0.15, 1
 
     print(f"scale={args.scale} jobs={args.jobs} rounds={args.rounds}")
-    world = build_world(WorldConfig(seed=7, scale=args.scale))
+    config = WorldConfig(seed=7, scale=args.scale)
+    world = build_world(config)
     dataset = collect(world).dataset
     entries = [e for e in dataset.available_entries() if e.artifact.code_files()]
     print(f"dataset: {len(dataset.entries)} entries, {len(entries)} embeddable")
 
     bench_serial_vs_parallel(dataset, args.jobs, args.rounds)
     bench_embedding_cache(entries, args.rounds)
+    bench_loaded_graph_delta(config)
     bench_warm_start(args.rounds)
     print("\nall correctness gates passed")
     return 0

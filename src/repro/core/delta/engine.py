@@ -242,12 +242,15 @@ class DeltaReport:
         }
 
     def summary(self) -> str:
-        """One line for the ``repro update`` CLI."""
+        """One line for the ``repro update`` CLI. "embedded M of N" counts
+        the batch's unique embeddable artifacts (N) and those no cache
+        held (M), so a batch that re-embedded shows it."""
         cliques_added = sum(self.cliques_added.values())
         cliques_removed = sum(self.cliques_removed.values())
         groups = ", ".join(
             f"{kind}={count}" for kind, count in sorted(self.group_counts.items())
         )
+        unique = self.embed_cache_hits + self.embed_cache_misses
         return (
             f"epoch {self.epoch}: {self.events} events "
             f"(pkgs +{self.packages_added}/~{self.packages_updated}"
@@ -255,7 +258,9 @@ class DeltaReport:
             f"{self.nodes_touched} nodes touched | "
             f"cliques +{cliques_added}/-{cliques_removed}, "
             f"edges +{self.edges_added}/-{self.edges_removed} | "
-            f"groups {groups} | {self.seconds:.2f}s"
+            f"groups {groups} | "
+            f"embedded {self.embed_cache_misses} of {unique} artifacts | "
+            f"{self.seconds:.2f}s"
         )
 
 
@@ -277,7 +282,9 @@ def apply_delta(
     built with; it defaults to ``base.similarity_config`` (falling back
     to the stock :class:`SimilarityConfig`). The clustering
     configuration is fixed by the *first* delta application — later
-    calls reuse the established incremental stage.
+    calls reuse the established incremental stage. ``store`` defaults
+    to ``base.store``, the store whose embedding tiers hold the base's
+    vectors.
     """
     started = time.perf_counter()
     events = list(events)
@@ -289,6 +296,7 @@ def apply_delta(
     version_before = graph.version
 
     config = similarity or target.similarity_config or SimilarityConfig()
+    store = store if store is not None else target.store
     state = target._delta_state
     if state is None:
         state = DeltaState.bootstrap(target, config)
@@ -543,6 +551,7 @@ def _fork(base: MalGraph) -> MalGraph:
         ),
         similar=base.similar,
         similarity_config=base.similarity_config,
+        store=base.store,
         delta_epoch=base.delta_epoch,
         last_delta_at=base.last_delta_at,
     )

@@ -8,8 +8,9 @@ are *incremental by nature*:
 * embeddings are pure functions of the artifact bytes — the stage keeps
   a per-SHA256 vector cache that
   :func:`~repro.core.similarity.fill_embeddings` fills (from the
-  pipeline store's memory and disk tiers when a store is given), so a
-  delta batch embeds only the artifacts nothing has embedded before;
+  memory and disk tiers of the pipeline store the graph records, when
+  it has one), so a delta batch embeds only the artifacts nothing has
+  embedded before;
 * cosine similarity between two vectors does not depend on the K-Means
   clustering at all — the stage maintains *global* connected components
   of the "cosine ≥ threshold" graph over every unique rounded vector it

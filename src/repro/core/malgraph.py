@@ -17,6 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.delta.engine import DeltaReport, DeltaState
     from repro.core.delta.events import GraphEvent
     from repro.core.query.indexes import GraphIndexes
+    from repro.pipeline.store import ArtifactStore
 
 from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.edges import (
@@ -59,6 +60,12 @@ class MalGraph:
     #: the SimilarityConfig this graph was built with (delta applications
     #: must cluster with the same configuration to stay byte-identical)
     similarity_config: Optional[SimilarityConfig] = None
+    #: the ArtifactStore this graph was built or loaded with; its
+    #: embedding tiers hold the graph's vectors, so delta applications
+    #: read them from there instead of embedding the corpus again
+    store: Optional["ArtifactStore"] = field(
+        default=None, repr=False, compare=False
+    )
     #: advanced once per applied delta batch
     delta_epoch: int = 0
     #: wall-clock time of the last applied delta batch (None = never)
@@ -79,7 +86,10 @@ class MalGraph:
 
         ``store`` (an :class:`repro.pipeline.store.ArtifactStore`) turns
         on the persistent embedding cache for the similar-edge stage;
-        the built graph is identical with or without it.
+        the built graph is identical with or without it. The graph
+        records the store, so its deltas fill their vectors from the
+        same cache; a graph built without one embeds its corpus once,
+        on its first delta.
         """
         # A SimilarityConfig() default argument would be instantiated once
         # at import time and shared across every build() call.
@@ -95,6 +105,7 @@ class MalGraph:
             dataset=dataset,
             similar=similar,
             similarity_config=similarity,
+            store=store,
         )
 
     # -- the dataset's relationship lists (derived on every read) --------
@@ -131,6 +142,12 @@ class MalGraph:
         The result is byte-identical, after canonical serialisation
         (:func:`repro.io.malgraphs.canonical_malgraph_json`), to a cold
         ``MalGraph.build`` over the post-events collection.
+
+        ``store`` defaults to :attr:`store`, the store the graph was
+        built or loaded with: the similar stage reads each vector from
+        its memory tier, then its disk tier, and embeds only artifacts
+        the store has never seen, writing those back to both tiers. A
+        fork keeps the recorded store.
         """
         from repro.core.delta.engine import apply_delta as _apply_delta
 

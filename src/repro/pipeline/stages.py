@@ -110,11 +110,20 @@ class MalGraphCodec:
     """Disk format for a built MALGRAPH; loading re-links the graph's
     group structures against the dataset the graph was built from and
     stamps the ``SimilarityConfig`` it was built with (the payload holds
-    none, and later deltas must cluster with it)."""
+    none, and later deltas must cluster with it) and the loading
+    runtime's ``ArtifactStore`` (its embedding tiers hold the graph's
+    vectors, which later deltas read instead of embedding the corpus
+    again)."""
 
-    def __init__(self, dataset: MalwareDataset, similarity: SimilarityConfig):
+    def __init__(
+        self,
+        dataset: MalwareDataset,
+        similarity: SimilarityConfig,
+        store: ArtifactStore,
+    ):
         self.dataset = dataset
         self.similarity = similarity
+        self.store = store
 
     def save(self, malgraph: MalGraph, directory: Path) -> None:
         from repro.io.malgraphs import save_malgraph
@@ -126,6 +135,7 @@ class MalGraphCodec:
 
         malgraph = load_malgraph(directory, self.dataset)
         malgraph.similarity_config = self.similarity
+        malgraph.store = self.store
         return malgraph
 
 
@@ -155,10 +165,12 @@ class MalGraphBundleCodec:
     directory. Unlike :class:`MalGraphCodec`, the dataset travels with
     the graph — an evolved dataset has no collection fingerprint of its
     own to re-link against. Loading stamps the ``SimilarityConfig``
-    later deltas cluster with, as :class:`MalGraphCodec` does."""
+    later deltas cluster with and the ``ArtifactStore`` they read
+    vectors from, as :class:`MalGraphCodec` does."""
 
-    def __init__(self, similarity: SimilarityConfig):
+    def __init__(self, similarity: SimilarityConfig, store: ArtifactStore):
         self.similarity = similarity
+        self.store = store
 
     def save(self, malgraph: MalGraph, directory: Path) -> None:
         from repro.io.malgraphs import save_malgraph_bundle
@@ -170,6 +182,7 @@ class MalGraphBundleCodec:
 
         malgraph = load_malgraph_bundle(directory)
         malgraph.similarity_config = self.similarity
+        malgraph.store = self.store
         return malgraph
 
 
@@ -246,7 +259,9 @@ class PipelineRuntime:
             STAGE_MALGRAPH,
             self._build_malgraph,
             upstream=self.collection,
-            codec=lambda result: MalGraphCodec(result.dataset, self.similarity),
+            codec=lambda result: MalGraphCodec(
+                result.dataset, self.similarity, self.store
+            ),
         )
 
     def columnar(self) -> "ColumnarMalwareDataset":
@@ -308,7 +323,7 @@ class PipelineRuntime:
                 if self._head_malgraph is not None
                 else self.malgraph()
             ),
-            codec=MalGraphBundleCodec(self.similarity),
+            codec=MalGraphBundleCodec(self.similarity, self.store),
             fp=fp,
             payload=payload,
         )
@@ -355,7 +370,9 @@ class PipelineRuntime:
         upstream artifact when loading needs that artifact (the malgraph
         re-links against its dataset) — the upstream then resolves
         before the disk tier rather than only before a build. ``fp`` and
-        ``payload`` default to the stage's fingerprint and config.
+        ``payload`` default to the stage's fingerprint and config. A
+        disk load or build of a stage an earlier hit elided replaces
+        that elided row, so the stage counts once.
         """
         fp = fp if fp is not None else self.fingerprint(stage)
         started = time.perf_counter()
@@ -390,6 +407,14 @@ class PipelineRuntime:
                     self.store.put_disk(
                         stage, fp, held, codec, payload or self._config_payload(stage)
                     )
+        if source != SOURCE_MEMORY:
+            # the elided stage was needed after all
+            self.report.runs[:] = [
+                run
+                for run in self.report.runs
+                if (run.stage, run.fingerprint, run.source)
+                != (stage, fp, SOURCE_ELIDED)
+            ]
         self.report.record(stage, status, source, time.perf_counter() - started, fp)
         if status == STATUS_HIT:
             self._record_elided(*_ELIDES.get(stage, ()))

@@ -88,7 +88,11 @@ def refresh_from_events(
     position for callers such as ``perfbench/server.py`` that pass the
     index they hold. ``malgraph`` is the graph the service was built
     from; it evolves in place, so callers keep feeding the same graph
-    across batches. Returns the dataset the new generation serves and
+    across batches. The delta reads its vectors from the store the
+    graph was built or loaded with (:attr:`MalGraph.store`), so a
+    service over a cached corpus embeds only payloads that store has
+    never seen; a graph with no store embeds its corpus once, on the
+    first batch. Returns the dataset the new generation serves and
     the delta engine's report (see the module docstring for the
     consistency model).
     """

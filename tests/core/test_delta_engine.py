@@ -73,7 +73,10 @@ def test_every_event_kind_matches_cold_rebuild():
     assert delta.packages_removed == 1
     assert delta.reports_added == 1
     assert evolved.last_delta_at is not None
-    assert delta.summary()
+    # three embeddable entries, two payloads; the graph has no store and
+    # no earlier delta, so both are embedded
+    assert (delta.embed_cache_hits, delta.embed_cache_misses) == (0, 2)
+    assert "| embedded 2 of 2 artifacts |" in delta.summary()
 
 
 def test_base_is_untouched_unless_in_place():

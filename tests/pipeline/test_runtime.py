@@ -61,6 +61,23 @@ def test_fresh_store_resolves_from_disk(tmp_path):
     )
 
 
+def test_a_stage_elided_then_built_counts_once(tmp_path):
+    """Regression: on a warm disk cache the collection's load elides the
+    world, and a later call that needs the world itself (``repro
+    tables`` reads its mirrors) builds it. The build replaces the elided
+    row, so the books read 0 hits / 1 miss, not 1 / 1."""
+    runtime_for(tmp_path).warm()
+    cold = runtime_for(tmp_path)
+    cold.malgraph()
+    cold.world()
+    assert [(r.stage, r.status, r.source) for r in cold.report.runs] == [
+        ("collection", "hit", "disk"),
+        ("malgraph", "hit", "disk"),
+        ("world", "miss", "build"),
+    ]
+    assert cold.report.counts()["world"] == {"hits": 0, "misses": 1}
+
+
 def test_corrupt_disk_entry_triggers_clean_rebuild(tmp_path):
     warm = runtime_for(tmp_path).warm()
     store = warm.store

@@ -21,12 +21,18 @@ from repro.service.enrich import (
     EnrichmentEngine,
     Indicator,
 )
-from repro.core.delta.events import GraphEvent
+from repro.core.delta.events import GraphEvent, apply_events_to_dataset
 from repro.service.index import CAMPAIGN_KINDS, FAMILY_KINDS, IntelIndex
 from repro.service.refresh import refresh_from_events, refresh_index
 
 from tests.core.helpers import dataset, entry, report
 from tests.core.index_oracle import assert_same_indexes
+from tests.pipeline.test_delta_stage import (
+    known_batch,
+    loaded_graph,
+    open_runtime,
+    unique_embeddable,
+)
 
 
 def _service(ds):
@@ -284,6 +290,21 @@ def test_delta_evolved_bundle_round_trips_exactly(tmp_path):
     )
     save_malgraph_bundle(evolved, tmp_path)
     assert malgraph_to_dict(load_malgraph_bundle(tmp_path)) == written
+
+
+def test_refresh_over_a_loaded_graph_embeds_nothing(tmp_path):
+    """The first refresh of a service over a graph a fresh runtime
+    loaded from disk reads every vector from the store's disk tier."""
+    open_runtime(tmp_path).warm()
+    _, malgraph = loaded_graph(tmp_path)
+    service = build_service(malgraph)
+    events = known_batch(malgraph.dataset)
+    after = apply_events_to_dataset(malgraph.dataset, events)
+    _, delta = refresh_from_events(
+        service.index, events, service=service, malgraph=malgraph
+    )
+    assert delta.embed_cache_misses == 0
+    assert delta.embed_cache_hits == unique_embeddable(after)
 
 
 def test_concurrent_refreshes_compose_not_clobber():
