@@ -412,6 +412,7 @@ def cmd_feed(args: argparse.Namespace) -> int:
 def cmd_update(args: argparse.Namespace) -> int:
     from repro import pipeline
     from repro.core.delta.events import events_from_jsonl
+    from repro.core.groups import GroupKind
     from repro.errors import DatasetError, GraphError
     from repro.io.malgraphs import load_malgraph_bundle, save_malgraph_bundle
 
@@ -438,6 +439,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         return 2
     target = save_malgraph_bundle(evolved, args.out or bundle)
     print(delta.summary())
+    counts = (f"{kind.value}={len(evolved.groups(kind))}" for kind in GroupKind)
+    print("groups " + ", ".join(counts))
     print(f"wrote updated bundle to {target}")
     return 0
 

@@ -9,16 +9,15 @@ removed, report ingested) into a surgical update of an existing
 * :mod:`repro.core.delta.events` — the event model, JSONL codec, batch
   hashing, and the reference dataset-level application that defines the
   post-events collection;
-* :mod:`repro.core.delta.unionfind` — epoch-rolled incremental connected
-  components (additions union; removals trigger a scoped recompute of
-  just the touched components);
 * :mod:`repro.core.delta.similar` — the incremental similar-edge stage:
   per-SHA embedding reuse plus a global cosine-component cache over
   unique rounded vectors, so only genuinely new code is embedded or
   compared;
 * :mod:`repro.core.delta.engine` — :func:`apply_delta`, the correctness
   anchor: its output is byte-identical after canonical serialisation to
-  a cold ``MalGraph.build`` over the post-events collection.
+  a cold ``MalGraph.build`` over the post-events collection. It keeps
+  no group structure: the query-index patch re-derives the DG/DeG/SG/CG
+  groups a batch touched (:mod:`repro.core.query.indexes`).
 """
 
 from repro.core.delta.engine import DeltaReport, apply_delta
@@ -30,11 +29,9 @@ from repro.core.delta.events import (
     events_to_jsonl,
     events_from_jsonl,
 )
-from repro.core.delta.unionfind import EpochUnionFind
 
 __all__ = [
     "DeltaReport",
-    "EpochUnionFind",
     "EventKind",
     "GraphEvent",
     "apply_delta",

@@ -22,11 +22,14 @@ The engine touches only what the batch touches:
 * **co-existing** cliques are re-derived per affected report via a
   maintained package -> mentioning-reports index.
 
-Group memberships (DG/DeG/SG/CG) roll forward through per-edge-type
-:class:`EpochUnionFind` trackers fed with the batch's removal
-touchpoints and added links, advancing one epoch per batch. The
-facade's duplicated / dependency / co-existing lists need no upkeep:
-:class:`MalGraph` derives them from its dataset when they are read.
+The engine keeps no group structure. It records, per edge type, the
+nodes whose adjacency the batch changed in the graph's
+:class:`~repro.core.query.indexes.IndexPatch`, and the query-index
+patch re-derives the DG/DeG/SG/CG groups holding them from its own
+tables; :meth:`MalGraph.groups` extracts them from the graph when read.
+The facade's duplicated / dependency / co-existing lists need no
+upkeep either: :class:`MalGraph` derives them from its dataset when
+they are read.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from repro.core.delta.events import (
     event_batch_hash,
 )
 from repro.core.delta.similar import IncrementalSimilarStage
-from repro.core.delta.unionfind import EpochUnionFind
 from repro.core.edges import (
     coexisting_group_of_report,
     node_attrs,
@@ -73,7 +75,6 @@ class DeltaState:
     def __init__(
         self,
         similar_stage: IncrementalSimilarStage,
-        trackers: Dict[EdgeType, EpochUnionFind],
         by_sha: Dict[str, Set[PackageId]],
         sha_clique: Dict[str, int],
         similar_cliques: Dict[FrozenSet[str], int],
@@ -84,7 +85,6 @@ class DeltaState:
         name_index: Dict[DepKey, Set[PackageId]],
     ) -> None:
         self.similar_stage = similar_stage
-        self.trackers = trackers
         self.by_sha = by_sha
         self.sha_clique = sha_clique
         self.similar_cliques = similar_cliques
@@ -149,15 +149,8 @@ class DeltaState:
             for pid in report.packages:
                 mentions.setdefault(pid, set()).add(report.report_id)
 
-        trackers = {
-            edge_type: EpochUnionFind() for edge_type in EdgeType
-        }
-        for edge_type, tracker in trackers.items():
-            tracker.seed(graph.connected_components([edge_type]))
-
         return cls(
             similar_stage=IncrementalSimilarStage(config),
-            trackers=trackers,
             by_sha=by_sha,
             sha_clique=sha_clique,
             similar_cliques=similar_cliques,
@@ -174,7 +167,6 @@ class DeltaState:
         components) that hold on every branch, and it only ever grows."""
         return DeltaState(
             similar_stage=self.similar_stage,
-            trackers={t: uf.fork() for t, uf in self.trackers.items()},
             by_sha={sha: set(pids) for sha, pids in self.by_sha.items()},
             sha_clique=dict(self.sha_clique),
             similar_cliques=dict(self.similar_cliques),
@@ -217,7 +209,6 @@ class DeltaReport:
     edges_added: int = 0
     edges_removed: int = 0
     nodes_touched: int = 0
-    group_counts: Dict[str, int] = field(default_factory=dict)
     embed_cache_hits: int = 0
     embed_cache_misses: int = 0
 
@@ -236,7 +227,6 @@ class DeltaReport:
             "edges_added": self.edges_added,
             "edges_removed": self.edges_removed,
             "nodes_touched": self.nodes_touched,
-            "group_counts": dict(self.group_counts),
             "embed_cache_hits": self.embed_cache_hits,
             "embed_cache_misses": self.embed_cache_misses,
         }
@@ -247,9 +237,6 @@ class DeltaReport:
         held (M), so a batch that re-embedded shows it."""
         cliques_added = sum(self.cliques_added.values())
         cliques_removed = sum(self.cliques_removed.values())
-        groups = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(self.group_counts.items())
-        )
         unique = self.embed_cache_hits + self.embed_cache_misses
         return (
             f"epoch {self.epoch}: {self.events} events "
@@ -258,7 +245,6 @@ class DeltaReport:
             f"{self.nodes_touched} nodes touched | "
             f"cliques +{cliques_added}/-{cliques_removed}, "
             f"edges +{self.edges_added}/-{self.edges_removed} | "
-            f"groups {groups} | "
             f"embedded {self.embed_cache_misses} of {unique} artifacts | "
             f"{self.seconds:.2f}s"
         )
@@ -284,23 +270,24 @@ def apply_delta(
     configuration is fixed by the *first* delta application — later
     calls reuse the established incremental stage. ``store`` defaults
     to ``base.store``, the store whose embedding tiers hold the base's
-    vectors.
+    vectors. The delta state is bootstrapped on ``base`` even when the
+    update lands on a fork, so every fork of one base copies a single
+    state (and shares its similar stage) instead of bootstrapping again.
     """
     started = time.perf_counter()
     events = list(events)
     # validates the whole batch before anything is mutated
     evolved = apply_events_to_dataset(base.dataset, events)
 
+    config = similarity or base.similarity_config or SimilarityConfig()
+    store = store if store is not None else base.store
+    if base._delta_state is None:
+        # on the base, not the fork: every later fork copies this state
+        base._delta_state = DeltaState.bootstrap(base, config)
     target = base if in_place else _fork(base)
     graph = target.graph
     version_before = graph.version
-
-    config = similarity or target.similarity_config or SimilarityConfig()
-    store = store if store is not None else target.store
     state = target._delta_state
-    if state is None:
-        state = DeltaState.bootstrap(target, config)
-        target._delta_state = state
 
     report = DeltaReport(
         events=len(events),
@@ -339,10 +326,9 @@ def apply_delta(
     target.dataset = evolved
     removed_ids = {node_id(e.package) for e in removed}
 
-    # per-type tracker feeds: nodes incident to removed edges/cliques,
-    # and the links added this batch
-    touch: Dict[EdgeType, Set[str]] = {t: set() for t in EdgeType}
-    links: Dict[EdgeType, List[Sequence[str]]] = {t: [] for t in EdgeType}
+    # per type, the nodes whose adjacency this batch changed: the ends of
+    # every edge or clique removed or added (the index patch's dirty set)
+    touched: Dict[EdgeType, Set[str]] = {t: set() for t in EdgeType}
 
     # -- nodes --------------------------------------------------------------
     for entry in added:
@@ -379,8 +365,7 @@ def apply_delta(
             state.sha_clique,
             sha,
             desired,
-            touch,
-            links,
+            touched,
             report,
         )
 
@@ -407,11 +392,11 @@ def apply_delta(
         current = graph.neighbors(nid, EdgeType.DEPENDENCY)
         for other in sorted(current - desired):
             graph.remove_edge(nid, other, EdgeType.DEPENDENCY)
-            touch[EdgeType.DEPENDENCY].update((nid, other))
+            touched[EdgeType.DEPENDENCY].update((nid, other))
             report.edges_removed += 1
         for other in sorted(desired - current):
             graph.add_edge(nid, other, EdgeType.DEPENDENCY)
-            links[EdgeType.DEPENDENCY].append((nid, other))
+            touched[EdgeType.DEPENDENCY].update((nid, other))
             report.edges_added += 1
 
     # -- similar ------------------------------------------------------------
@@ -428,14 +413,14 @@ def apply_delta(
     ]:
         index = state.similar_cliques.pop(members)
         graph.remove_clique_at(EdgeType.SIMILAR, index)
-        touch[EdgeType.SIMILAR].update(members)
+        touched[EdgeType.SIMILAR].update(members)
         report.cliques_removed[EdgeType.SIMILAR.value] += 1
     for members in sorted(
         (m for m in desired_sim if m not in state.similar_cliques), key=sorted
     ):
         index = graph.add_clique(sorted(members), EdgeType.SIMILAR)
         state.similar_cliques[members] = index
-        links[EdgeType.SIMILAR].append(sorted(members))
+        touched[EdgeType.SIMILAR].update(members)
         report.cliques_added[EdgeType.SIMILAR.value] += 1
     target.similar = similar
 
@@ -458,8 +443,7 @@ def apply_delta(
             state.report_clique,
             rid,
             desired,
-            touch,
-            links,
+            touched,
             report,
         )
     for rep in new_reports:
@@ -471,7 +455,7 @@ def apply_delta(
             members = frozenset(node_id(m.package) for m in group)
             index = graph.add_clique(sorted(members), EdgeType.COEXISTING)
             state.report_clique[rep.report_id] = index
-            links[EdgeType.COEXISTING].append(sorted(members))
+            touched[EdgeType.COEXISTING].update(members)
             report.cliques_added[EdgeType.COEXISTING.value] += 1
 
     # -- node removal (every stale clique is already gone) ------------------
@@ -479,23 +463,11 @@ def apply_delta(
         nid = node_id(entry.package)
         dep_neighbors = graph.neighbors(nid, EdgeType.DEPENDENCY)
         if dep_neighbors:
-            touch[EdgeType.DEPENDENCY].update(dep_neighbors)
+            touched[EdgeType.DEPENDENCY].update(dep_neighbors)
             report.edges_removed += len(dep_neighbors)
         for edge_type in EdgeType:
-            touch[edge_type].add(nid)
+            touched[edge_type].add(nid)
         graph.remove_node(nid)
-
-    # -- group trackers -----------------------------------------------------
-    for edge_type in EdgeType:
-        state.trackers[edge_type].apply_batch(
-            touch[edge_type],
-            removed_ids,
-            links[edge_type],
-            graph.incident_groups_fn(edge_type),
-        )
-        report.group_counts[edge_type.value] = state.trackers[
-            edge_type
-        ].component_count
 
     target._group_cache = {}
 
@@ -511,21 +483,13 @@ def apply_delta(
 
     refreshed = {node_id(e.package) for e in added}
     refreshed |= {node_id(e.package) for _, e in changed}
-    adjacency_touched: Dict[EdgeType, FrozenSet[str]] = {}
-    all_touched: Set[str] = set(removed_ids) | refreshed
-    for edge_type in EdgeType:
-        nodes = set(touch[edge_type])
-        for link in links[edge_type]:
-            nodes.update(link)
-        adjacency_touched[edge_type] = frozenset(nodes)
-        all_touched |= nodes
-    report.nodes_touched = len(all_touched)
+    report.nodes_touched = len(removed_ids.union(refreshed, *touched.values()))
     _record_patch(
         graph,
         version_before,
         removed_ids,
         refreshed,
-        adjacency_touched,
+        {t: frozenset(nodes) for t, nodes in touched.items()},
     )
 
     report.seconds = time.perf_counter() - started
@@ -585,8 +549,7 @@ def _sync_clique(
     index_map: Dict,
     key,
     desired: Optional[FrozenSet[str]],
-    touch: Dict[EdgeType, Set[str]],
-    links: Dict[EdgeType, List[Sequence[str]]],
+    touched: Dict[EdgeType, Set[str]],
     report: DeltaReport,
 ) -> None:
     """Make the clique registered under ``key`` match ``desired``."""
@@ -596,13 +559,13 @@ def _sync_clique(
         return
     if held is not None:
         members = graph.remove_clique_at(edge_type, held)
-        touch[edge_type].update(members)
+        touched[edge_type].update(members)
         del index_map[key]
         report.cliques_removed[edge_type.value] += 1
     if desired is not None:
         index = graph.add_clique(sorted(desired), edge_type)
         index_map[key] = index
-        links[edge_type].append(sorted(desired))
+        touched[edge_type].update(desired)
         report.cliques_added[edge_type.value] += 1
 
 

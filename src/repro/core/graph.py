@@ -297,33 +297,19 @@ class PropertyGraph:
         graph's own: copy what you keep and mutate nothing."""
         return self._adjacency[edge_type].items()
 
-    def incident_groups(
-        self, node_id: str, edge_type: EdgeType
-    ) -> Iterable[Tuple[Tuple[str, object], Iterable[str]]]:
-        """The node's adjacency as keyed groups, for group-aware sweeps.
-
-        Yields ``(key, members)`` pairs — one per live clique containing
-        the node (key ``("c", clique_index)``) plus one for its pairwise
-        neighbourhood (key ``("p", node_id)``). Keys are stable across
-        calls, so a component sweep can expand each clique exactly once
-        instead of re-scanning a k-member clique from all k of its
-        members: the sweep becomes O(total memberships) rather than
-        O(sum of clique sizes squared). ``members`` may include
-        ``node_id`` itself and must not be mutated.
-        """
-        self._require(node_id)
-        return self.incident_groups_fn(edge_type)(node_id)
-
     def incident_groups_fn(
         self, edge_type: EdgeType
     ) -> Callable[[str], List[Tuple[Tuple[str, object], Iterable[str]]]]:
-        """Bound fast-path form of :meth:`incident_groups`.
+        """A callable giving a node's adjacency of one type as keyed groups.
 
-        Component sweeps call ``incident`` once per visited node; binding
-        the per-type tables once hoists the repeated enum-keyed lookups
-        (and the membership check — sweep nodes are known to exist) out
-        of the hot loop. The returned callable reads the graph live: it
-        reflects mutations made after it was built.
+        ``incident(node)`` returns ``(key, members)`` pairs: one per live
+        clique holding the node (key ``("c", clique_index)``) plus one for
+        its pairwise neighbourhood (key ``("p", node)``); ``members`` may
+        include the node itself and must not be mutated. The query-index
+        patch re-reads the touched nodes' rows through it
+        (:func:`repro.core.query.indexes.apply_index_patches`). The
+        per-type tables are bound once and the membership check is
+        skipped, so pass existing nodes. It reads the graph live.
         """
         adjacency = self._adjacency[edge_type]
         membership = self._clique_membership[edge_type]

@@ -9,12 +9,13 @@ member sequence used by the RQ4 evolution analyses.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.graph import EdgeType, PropertyGraph
+from repro.ecosystem.package import PackageId
 
 
 class GroupKind(str, Enum):
@@ -38,6 +39,26 @@ _KIND_TO_EDGE = {
 }
 
 
+#: where a member with no known release day sorts: after every dated one
+_NO_DAY = 1 << 30
+
+#: a group's place among the groups of its kind (see :func:`rank_key`)
+RankKey = Tuple[int, str]
+
+
+def member_key(release_day: Optional[int], node: str) -> Tuple[int, str]:
+    """A member's place in its group: by release day, unknown days last,
+    then by node id (``str(PackageId)``)."""
+    return (_NO_DAY if release_day is None else release_day, node)
+
+
+def rank_key(size: int, earliest: str) -> RankKey:
+    """A group's place among the groups of its kind: larger groups
+    first, then by the node id of its earliest member in
+    :func:`member_key` order. Group ids (``SG-0003``) are these ranks."""
+    return (-size, earliest)
+
+
 @dataclass
 class PackageGroup:
     """One malware family / attack campaign group."""
@@ -47,11 +68,7 @@ class PackageGroup:
 
     def __post_init__(self) -> None:
         self.members = sorted(
-            self.members,
-            key=lambda e: (
-                e.release_day if e.release_day is not None else 1 << 30,
-                str(e.package),
-            ),
+            self.members, key=lambda e: member_key(e.release_day, str(e.package))
         )
 
     @property
@@ -109,39 +126,21 @@ class PackageGroup:
 def extract_groups(
     graph: PropertyGraph, dataset: MalwareDataset, kind: GroupKind
 ) -> List[PackageGroup]:
-    """Connected components of one edge type as :class:`PackageGroup`s."""
-    components = graph.connected_components([kind.edge_type])
-    return groups_from_components(graph, dataset, kind, components)
-
-
-def groups_from_components(
-    graph: PropertyGraph,
-    dataset: MalwareDataset,
-    kind: GroupKind,
-    components: Sequence[Sequence[str]],
-) -> List[PackageGroup]:
-    """:class:`PackageGroup`s from precomputed components.
-
-    The delta engine's incremental component trackers feed their
-    components through here, so incremental and cold group extraction
-    share one materialisation (and one sort order).
-    """
+    """Connected components of one edge type as :class:`PackageGroup`s,
+    in :func:`rank_key` order."""
     groups: List[PackageGroup] = []
-    for component in components:
+    for component in graph.connected_components([kind.edge_type]):
         members: List[DatasetEntry] = []
         for node in component:
             attrs = graph.node(node)
-            ecosystem = attrs["ecosystem"]
-            name = attrs["name"]
-            version = attrs["version"]
-            from repro.ecosystem.package import PackageId
-
-            entry = dataset.get(PackageId(ecosystem, name, version))
+            entry = dataset.get(
+                PackageId(attrs["ecosystem"], attrs["name"], attrs["version"])
+            )
             if entry is not None:
                 members.append(entry)
         if len(members) >= 2:
             groups.append(PackageGroup(kind=kind, members=members))
-    groups.sort(key=lambda g: (-g.size, str(g.members[0].package)))
+    groups.sort(key=lambda g: rank_key(g.size, str(g.members[0].package)))
     return groups
 
 

@@ -32,12 +32,7 @@ from repro.core.edges import (
     duplicated_groups_of,
 )
 from repro.core.graph import EdgeType, GraphStats, PropertyGraph
-from repro.core.groups import (
-    GroupKind,
-    PackageGroup,
-    extract_groups,
-    groups_from_components,
-)
+from repro.core.groups import GroupKind, PackageGroup, extract_groups
 from repro.core.similarity import SimilarityConfig
 
 
@@ -147,7 +142,9 @@ class MalGraph:
         built or loaded with: the similar stage reads each vector from
         its memory tier, then its disk tier, and embeds only artifacts
         the store has never seen, writing those back to both tiers. A
-        fork keeps the recorded store.
+        fork keeps the recorded store. The first apply keeps its delta
+        state on this instance, even when the update lands on a fork, so
+        later forks copy that state and embed nothing it already holds.
         """
         from repro.core.delta.engine import apply_delta as _apply_delta
 
@@ -170,17 +167,7 @@ class MalGraph:
         with self._group_lock:
             held = self._group_cache.get(kind)
             if held is None:
-                if self._delta_state is not None:
-                    # delta-evolved graph: components come from the
-                    # incremental tracker instead of a full graph sweep
-                    held = groups_from_components(
-                        self.graph,
-                        self.dataset,
-                        kind,
-                        self._delta_state.trackers[kind.edge_type].components(),
-                    )
-                else:
-                    held = extract_groups(self.graph, self.dataset, kind)
+                held = extract_groups(self.graph, self.dataset, kind)
                 self._group_cache[kind] = held
             return held
 

@@ -43,7 +43,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -61,7 +60,13 @@ from repro.core.query.ast import (
     QueryError,
     ReturnItem,
 )
-from repro.core.query.indexes import INDEXED_ATTRS, GraphIndexes, Run
+from repro.core.query.indexes import (
+    INDEXED_ATTRS,
+    GraphIndexes,
+    Run,
+    _layers,
+    _unexpanded,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -143,49 +148,6 @@ def _direction(edge: EdgePattern, forward: bool) -> str:
     if edge.direction == "in":
         return "in" if forward else "out"
     return edge.direction
-
-
-def _unexpanded(runs: Iterable[Run], expanded: set) -> List[Tuple[str, ...]]:
-    """``runs`` minus the cliques already in ``expanded``, which the
-    ones returned join: after a clique's first expansion every member is
-    visited, so expanding it again would find nothing new."""
-    fresh = []
-    for key, run in runs:
-        if key is not None:
-            if key in expanded:
-                continue
-            expanded.add(key)
-        fresh.append(run)
-    return fresh
-
-
-def _layers(
-    runs: Callable[[str], Iterable[Run]],
-    sources: Iterable[str],
-    max_hops: Optional[int],
-) -> Iterator[Tuple[int, set]]:
-    """Breadth-first from ``sources`` over each node's neighbour
-    ``runs`` (:meth:`GraphIndexes.runs`): yields (depth, the nodes first
-    reached at that depth) up to ``max_hops`` (None: unbounded).
-
-    Each node is reached at its minimal depth only and each clique is
-    expanded once, so the walk is linear in the touched nodes and
-    cliques and never enumerates individual paths.
-    """
-    frontier = set(sources)
-    seen = set(frontier)
-    expanded: set = set()
-    depth = 0
-    while frontier and (max_hops is None or depth < max_hops):
-        depth += 1
-        found: set = set()
-        for node in frontier:
-            for run in _unexpanded(runs(node), expanded):
-                found.update(run)
-        found -= seen
-        seen |= found
-        frontier = found
-        yield depth, found
 
 
 def reachable(

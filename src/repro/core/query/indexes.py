@@ -13,13 +13,14 @@ structures directly: a :class:`GraphIndexes` snapshot materialises
   tables: nothing aliases the graph's mutable sets or membership lists,
   which the service's refresh mutates in place.
   :meth:`GraphIndexes.neighbors` answers from a node's runs (one run is
-  the tuple minus the node; several are merged), and the traversals
-  read the runs keyed by clique (:meth:`GraphIndexes.runs`) so they
-  expand each clique once. Dependency additionally gets true directed
-  ``out`` / ``into`` maps when built over a :class:`MalGraph` (each
-  linked node's declared dependencies say who depends on whom); a type
-  without them is symmetric and answers every direction from its
-  tables;
+  the tuple minus the node; several are merged). The executor's
+  traversals and the group re-rank share one breadth-first walk
+  (:func:`_layers`) over the runs keyed by clique
+  (:meth:`GraphIndexes.runs`), which expands each clique once.
+  Dependency additionally gets true directed ``out`` / ``into`` maps
+  when built over a :class:`MalGraph` (each linked node's declared
+  dependencies say who depends on whom); a type without them is
+  symmetric and answers every direction from its tables;
 * **node-attribute maps** — every node's merged attributes (the graph's
   seven plus, over a ``MalGraph``, the dataset's ground-truth
   ``campaign`` / ``actor`` / ``family`` / ``archetype`` / ``downloads``
@@ -44,9 +45,10 @@ the gap, :func:`graph_indexes` derives the next snapshot from it
 derivation is copy-on-write. It is O(touched nodes) for attrs and
 attribute buckets, O(touched clique sizes) for the adjacency tables (a
 clique slot the chain tombstoned is dropped, one it added is sorted
-once), and O(touched groups) to re-rank the DG/DeG/SG/CG groups. Group
-ids are positional, so every group whose id shifts is rewritten: that
-part is O(renumbered groups). The shallow copies of the top-level tables
+once), and O(touched groups) to re-rank the DG/DeG/SG/CG groups, which
+it walks on the new snapshot's own tables. Group ids are positional, so
+every group whose id shifts is rewritten: that part is O(renumbered
+groups). The shallow copies of the top-level tables
 (``attrs``, ``groups_of`` and the touched types' adjacency tables) stay
 O(N), and the directed dependency maps take one pass over the
 dependency-linked nodes. Any version gap the journal cannot bridge
@@ -60,9 +62,21 @@ import heapq
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.graph import EdgeType, PropertyGraph
+from repro.core.groups import GroupKind, RankKey, member_key, rank_key
 
 #: attributes with an inverted index (equality filters on these seed
 #: the traversal instead of scanning every node)
@@ -83,9 +97,6 @@ INDEXED_ATTRS = (
 _EMPTY: Tuple[str, ...] = ()
 _ALL_TYPES: Tuple[EdgeType, ...] = tuple(EdgeType)
 
-#: a group's position key among the groups of its kind: (-size, node id
-#: of its earliest member), the order ``groups_from_components`` sorts by
-RankKey = Tuple[int, str]
 #: one kind's groups in id order, each as (rank key, sorted members)
 RankedGroups = Tuple[Tuple[RankKey, Tuple[str, ...]], ...]
 #: one sorted run of a node's neighbourhood, keyed ``(edge type, clique
@@ -204,6 +215,53 @@ class GraphIndexes:
         if index is None:
             return None
         return len(index.get(value, _EMPTY))
+
+
+# ---------------------------------------------------------------------------
+# Clique-once walks (the executor's traversals and the group re-rank)
+# ---------------------------------------------------------------------------
+
+def _unexpanded(runs: Iterable[Run], expanded: set) -> List[Tuple[str, ...]]:
+    """``runs`` minus the cliques already in ``expanded``, which the
+    ones returned join: after a clique's first expansion every member is
+    visited, so expanding it again would find nothing new."""
+    fresh = []
+    for key, run in runs:
+        if key is not None:
+            if key in expanded:
+                continue
+            expanded.add(key)
+        fresh.append(run)
+    return fresh
+
+
+def _layers(
+    runs: Callable[[str], Iterable[Run]],
+    sources: Iterable[str],
+    max_hops: Optional[int],
+) -> Iterator[Tuple[int, set]]:
+    """Breadth-first from ``sources`` over each node's neighbour
+    ``runs`` (:meth:`GraphIndexes.runs`): yields (depth, the nodes first
+    reached at that depth) up to ``max_hops`` (None: unbounded).
+
+    Each node is reached at its minimal depth only and each clique is
+    expanded once, so the walk is linear in the touched nodes and
+    cliques and never enumerates individual paths.
+    """
+    frontier = set(sources)
+    seen = set(frontier)
+    expanded: set = set()
+    depth = 0
+    while frontier and (max_hops is None or depth < max_hops):
+        depth += 1
+        found: set = set()
+        for node in frontier:
+            for run in _unexpanded(runs(node), expanded):
+                found.update(run)
+        found -= seen
+        seen |= found
+        frontier = found
+        yield depth, found
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +482,7 @@ def apply_index_patches(
     * O(touched groups) to re-derive DG/DeG/SG/CG groups: a kind's
       groups holding a node the chain touched for that kind's edge type
       (or removed, or refreshed) are replaced by those nodes' final
-      components, read from the delta engine's component trackers
+      components, walked on the new snapshot's tables
       (:func:`_rerank_groups`). Re-ranking merges them into the kind's
       held rank list, which compares rank keys and tuple identities
       only; untouched groups' members are never re-scanned;
@@ -472,38 +530,32 @@ def apply_index_patches(
                 held.adjacency[edge_type], graph, edge_type, nodes
             )
 
-    by_attr = _patch_by_attr(held, attrs, final_removed | final_refresh)
-    group_members = held.group_members
-    groups_of = held.groups_of
-    group_ranks = held.group_ranks
-    if malgraph is not None:
-        out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
-            adjacency[EdgeType.DEPENDENCY], attrs, malgraph.dataset
-        )
-        group_members, groups_of, group_ranks = _rerank_groups(
-            held,
-            attrs,
-            by_attr,
-            touched,
-            removed_any | refreshed_any,
-            final_refresh,
-            malgraph._delta_state.trackers,
-        )
-
     unchanged = not final_removed and all(n in held.attrs for n in final_refresh)
-    return GraphIndexes(
+    patched = GraphIndexes(
         nodes=held.nodes if unchanged else tuple(sorted(attrs)),
         attrs=attrs,
         adjacency=adjacency,
         out=out,
         into=into,
-        by_attr=by_attr,
-        group_members=group_members,
-        groups_of=groups_of,
-        group_ranks=group_ranks,
+        by_attr=_patch_by_attr(held, attrs, final_removed | final_refresh),
+        group_members=held.group_members,
+        groups_of=held.groups_of,
+        group_ranks=held.group_ranks,
         version=graph.version,
         enriched=held.enriched,
     )
+    if malgraph is not None:
+        out[EdgeType.DEPENDENCY], into[EdgeType.DEPENDENCY] = _directed_dependency(
+            adjacency[EdgeType.DEPENDENCY], attrs, malgraph.dataset
+        )
+        (
+            patched.group_members,
+            patched.groups_of,
+            patched.group_ranks,
+        ) = _rerank_groups(
+            held, patched, touched, removed_any | refreshed_any, final_refresh
+        )
+    return patched
 
 
 def _patch_edge_tables(
@@ -551,8 +603,6 @@ def _patch_edge_tables(
 _GROUP_ATTRS = ("dg", "deg", "sg", "cg")
 #: the indexed attributes a node carries itself (not its group ids)
 _NODE_ATTRS = tuple(a for a in INDEXED_ATTRS if a not in _GROUP_ATTRS)
-#: where :class:`repro.core.groups.PackageGroup` orders an unknown release day
-_NO_DAY = 1 << 30
 
 
 def _enrich_attrs(held: Dict[str, Any], entry) -> None:
@@ -570,7 +620,6 @@ def _group_maps(malgraph):
     """(group_members, groups_of, per-node group attrs, group_ranks) of
     ``malgraph``, from its materialised groups."""
     from repro.core.edges import node_id
-    from repro.core.groups import GroupKind
 
     group_members: Dict[str, Tuple[str, ...]] = {}
     fresh_groups_of: Dict[str, List[str]] = {}
@@ -582,7 +631,8 @@ def _group_maps(malgraph):
         for i, group in enumerate(malgraph.groups(kind)):
             group_id = f"{kind.value}-{i:04d}"
             members = tuple(sorted(node_id(m.package) for m in group.members))
-            ranked.append(((-group.size, node_id(group.members[0].package)), members))
+            earliest = node_id(group.members[0].package)
+            ranked.append((rank_key(group.size, earliest), members))
             group_members[group_id] = members
             for member in members:
                 fresh_groups_of.setdefault(member, []).append(group_id)
@@ -593,40 +643,37 @@ def _group_maps(malgraph):
 
 
 def _rank_key(attrs: Dict[str, Dict[str, Any]], members: Tuple[str, ...]) -> RankKey:
-    """A group's :data:`RankKey`: its earliest member is the one with the
-    lowest (release day, unknown last; node id), as ``PackageGroup``
-    orders members (``str(PackageId)`` is the node id)."""
-
-    def released(node: str) -> Tuple[int, str]:
-        day = attrs[node].get("release_day")
-        return (_NO_DAY if day is None else day, node)
-
-    return (-len(members), min(members, key=released))
+    """A group's :func:`~repro.core.groups.rank_key`, read from its
+    members' attrs (``str(PackageId)`` is the node id)."""
+    earliest = min(
+        members, key=lambda node: member_key(attrs[node].get("release_day"), node)
+    )
+    return rank_key(len(members), earliest)
 
 
 def _rerank_groups(
     held: GraphIndexes,
-    attrs: Dict[str, Dict[str, Any]],
-    by_attr: Dict[str, Dict[Any, Tuple[str, ...]]],
+    patched: GraphIndexes,
     touched: Dict[EdgeType, set],
     dirty_nodes: set,
     refreshed: set,
-    trackers,
 ):
-    """(group_members, groups_of, group_ranks) of the patched snapshot.
+    """(group_members, groups_of, group_ranks) of the ``patched``
+    snapshot, whose tables, ``attrs`` and ``by_attr`` are final.
 
     A node is dirty for a kind if ``touched`` holds it for the kind's
     edge type or it is in ``dirty_nodes`` (removed or refreshed). Held
     groups holding a dirty node are dropped and the surviving dirty
-    nodes' final components, from the delta engine's ``trackers``, take
-    their place. Only ids whose member tuple changed are rewritten; the
-    new snapshot's ``attrs`` and ``by_attr`` (whose id bucket is the
-    same sorted member tuple) are updated in place. Nodes in
-    ``refreshed`` have fresh attr dicts and always get their group
-    attrs back.
+    nodes' final components, walked on ``patched``'s tables of that
+    type with each clique expanded once (:func:`_layers`), take their
+    place. A final component with no dirty node has the adjacency it
+    had in ``held``, so it is one of the held groups. Only ids whose
+    member tuple changed are rewritten; ``patched.attrs`` and
+    ``patched.by_attr`` (whose id bucket is the same sorted member
+    tuple) are updated in place. Nodes in ``refreshed`` have fresh attr
+    dicts and always get their group attrs back.
     """
-    from repro.core.groups import GroupKind
-
+    attrs, by_attr = patched.attrs, patched.by_attr
     group_members = dict(held.group_members)
     group_ranks = dict(held.group_ranks)
     # node -> {group attr: its new group id, or None if it left one}
@@ -640,16 +687,18 @@ def _rerank_groups(
         stale: set = set()
         placed: set = set()
         fresh = []
-        component_of = trackers[kind.edge_type].component_of
+        types = (kind.edge_type,)
         for node in dirty:
             group_id = held.attrs.get(node, {}).get(key)
             if group_id is not None:
                 stale.add(int(group_id[len(prefix) + 1 :]))
             if node in placed or node not in attrs:
                 continue
-            component = component_of(node)
-            if component:
-                placed.update(component)
+            component = {node}
+            for _, layer in _layers(lambda at: patched.runs(at, types), (node,), None):
+                component |= layer
+            if len(component) > 1:
+                placed |= component
                 members = tuple(sorted(component))
                 fresh.append((_rank_key(attrs, members), members))
         if not stale and not fresh:

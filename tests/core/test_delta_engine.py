@@ -4,6 +4,8 @@
 equal a cold ``MalGraph.build`` over the post-events collection — for
 every event kind, for chained batches, and for randomized
 publish/detect/remove interleavings (including remove-then-republish).
+Applied in place, each batch must also leave query indexes, patched
+from the snapshot read before it, equal to a cold index build.
 """
 
 from __future__ import annotations
@@ -13,12 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.delta import GraphEvent, apply_events_to_dataset
+from repro.core.delta.engine import DeltaState
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
+from repro.core.query import build_indexes
+from repro.core.query import indexes as indexes_module
 from repro.errors import DatasetError
 from repro.io.malgraphs import canonical_malgraph_json
 
 from tests.core.helpers import dataset, entry, report
+from tests.core.index_oracle import assert_same_indexes
 
 SHARED = "def payload():\n    return 'twin'\n"
 VARIANTS = [
@@ -93,6 +99,40 @@ def test_base_is_untouched_unless_in_place():
     assert same is base
     assert base.delta_epoch == 1
     assert canonical_malgraph_json(base) == canonical_malgraph_json(evolved)
+
+
+def test_forks_of_one_base_share_one_bootstrap(monkeypatch):
+    """Applies that fork a store-less base bootstrap the delta state on
+    the base once; every fork copies it, so only the first apply embeds
+    the corpus."""
+    bootstraps = []
+    bootstrap = DeltaState.bootstrap.__func__
+
+    def counting(cls, malgraph, config):
+        bootstraps.append(malgraph)
+        return bootstrap(cls, malgraph, config)
+
+    monkeypatch.setattr(DeltaState, "bootstrap", classmethod(counting))
+    base_ds = _base()
+    base = MalGraph.build(base_ds)
+    before = canonical_malgraph_json(base)
+    batches = [
+        [GraphEvent.package_removed(entry("twin").package)],
+        [GraphEvent.package_detected(entry("beta", code=VARIANTS[1],
+                                           dependencies=("alpha",), downloads=9))],
+        [GraphEvent.package_added(entry("late", code=SHARED))],
+    ]
+    misses = []
+    for events in batches:
+        fork, delta = base.apply_delta(events)
+        assert fork is not base
+        _assert_matches_cold(fork, base_ds, events)
+        misses.append(delta.embed_cache_misses)
+    assert len(bootstraps) == 1 and bootstraps[0] is base
+    # two payloads in the corpus, and no batch brings a new one
+    assert misses == [2, 0, 0]
+    assert canonical_malgraph_json(base) == before
+    assert base.delta_epoch == 0
 
 
 def test_chained_batches_match_cold_rebuild():
@@ -231,3 +271,45 @@ def test_random_chained_batches_match_cold_rebuild(ops_a, ops_b):
     if second:
         graph, _ = graph.apply_delta(second)
     _assert_matches_cold(graph, base_ds, first + second)
+
+
+def _patched_indexes(graph: MalGraph):
+    """``graph.query_indexes()``, which must be patched from the snapshot
+    read before the batch, not built from scratch."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the snapshot should have been patched")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(indexes_module, "build_indexes", refuse)
+        return graph.query_indexes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    ops_a=st.lists(_op, min_size=1, max_size=5),
+    ops_b=st.lists(_op, min_size=1, max_size=5),
+)
+def test_random_in_place_batches_patch_indexes_like_a_cold_build(ops_a, ops_b):
+    """The in-place path a service refresh takes: each batch patches the
+    held query indexes, groups included, and the patch must answer like
+    a cold index build over the evolved graph."""
+    base_ds = dataset(
+        [entry("pkg0", code=SHARED), entry("pkg1", code=VARIANTS[2])],
+        [],
+    )
+    graph = MalGraph.build(base_ds)
+    current, applied = base_ds, []
+    for ops, first_report_id in ((ops_a, 100), (ops_b, 200)):
+        events = _resolve(ops, current, first_report_id=first_report_id)
+        if not events:
+            continue
+        graph.query_indexes()  # the snapshot the batch's patch starts from
+        same, _ = graph.apply_delta(events, in_place=True)
+        assert same is graph
+        current = apply_events_to_dataset(current, events)
+        applied += events
+        assert_same_indexes(
+            _patched_indexes(graph), build_indexes(graph.graph, graph), graph.graph
+        )
+    _assert_matches_cold(graph, base_ds, applied)

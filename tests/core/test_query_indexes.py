@@ -455,6 +455,124 @@ def test_patch_chain_matches_a_cold_build(monkeypatch, batches):
     )
 
 
+def test_patch_splits_and_bridges_groups_like_a_cold_build(monkeypatch):
+    """One batch removes the hub of a dependency group, which splits it
+    in two, and publishes a package that bridges one half to another
+    group; the patch re-derives both from its own tables."""
+    from repro.core.delta import GraphEvent
+    from repro.core.malgraph import MalGraph as _MalGraph
+
+    from tests.core.helpers import dataset, entry
+
+    hub = entry("hub", dependencies=("a", "c"))
+    malgraph = _MalGraph.build(
+        dataset(
+            [
+                hub,
+                entry("a"),
+                entry("b", dependencies=("a",)),
+                entry("c"),
+                entry("d", dependencies=("c",)),
+                entry("far"),
+                entry("near", dependencies=("far",)),
+            ]
+        )
+    )
+    before = malgraph.query_indexes()
+    deg = {g: m for g, m in before.group_members.items() if g.startswith("DeG")}
+    assert [len(m) for m in deg.values()] == [5, 2]
+    malgraph.apply_delta(
+        [
+            GraphEvent.package_removed(hub.package),
+            GraphEvent.package_added(entry("e", dependencies=("d", "far"))),
+        ],
+        in_place=True,
+    )
+
+    _no_full_derivation(monkeypatch)
+    after = malgraph.query_indexes()
+    monkeypatch.undo()
+
+    deg = {g: m for g, m in after.group_members.items() if g.startswith("DeG")}
+    assert deg == {
+        "DeG-0000": tuple(f"pypi:{n}@1.0" for n in ("c", "d", "e", "far", "near")),
+        "DeG-0001": ("pypi:a@1.0", "pypi:b@1.0"),
+    }
+    assert_same_indexes(
+        after, build_indexes(malgraph.graph, malgraph), malgraph.graph
+    )
+
+
+def test_groups_and_patched_ids_share_one_rank_rule(monkeypatch):
+    """Equal-sized groups rank by their earliest member, an undated
+    member sorting after every dated one, in ``MalGraph.groups`` and in
+    the ids a patch re-derives alike."""
+    import dataclasses
+
+    from repro.core.delta import GraphEvent
+    from repro.core.malgraph import MalGraph as _MalGraph
+
+    from tests.core.helpers import dataset, entry, report
+
+    undated = entry("a", code="A = 1\n", release_day=None)
+    late = entry("z", code="Z = 1\n", release_day=300)
+    early = [entry(n, code=f"{n} = 1\n", release_day=d) for n, d in (("m", 200), ("n", 250))]
+    malgraph = _MalGraph.build(
+        dataset(
+            [undated, late, *early],
+            [
+                report("r-1", [undated.package, late.package]),
+                report("r-2", [e.package for e in early]),
+            ],
+        )
+    )
+    cg = [[m.package.name for m in g.members] for g in malgraph.groups(GroupKind.CG)]
+    assert cg == [["m", "n"], ["z", "a"]]
+    malgraph.query_indexes()
+    malgraph.apply_delta(
+        [GraphEvent.package_detected(dataclasses.replace(undated, downloads=7))],
+        in_place=True,
+    )
+
+    _no_full_derivation(monkeypatch)
+    after = malgraph.query_indexes()
+    monkeypatch.undo()
+
+    assert after.group_members["CG-0001"] == ("pypi:a@1.0", "pypi:z@1.0")
+    assert_same_indexes(
+        after, build_indexes(malgraph.graph, malgraph), malgraph.graph
+    )
+
+
+def test_group_walk_expands_each_clique_once():
+    """The walk shared by the traversals and the group re-rank scans a
+    clique once, not once per member (what keeps giant cliques
+    O(members))."""
+    from repro.core.query.indexes import _layers
+
+    class CountingRun:
+        def __init__(self, members):
+            self.members = members
+            self.scans = 0
+
+        def __iter__(self):
+            self.scans += 1
+            return iter(self.members)
+
+    clique = CountingRun(("a", "b", "c", "d"))
+    pairwise = {"d": ("e",), "e": ("d",)}
+
+    def runs(node):
+        found = [((EdgeType.SIMILAR, 0), clique)] if node in clique.members else []
+        if node in pairwise:
+            found.append((None, pairwise[node]))
+        return found
+
+    layers = list(_layers(runs, ("a",), None))
+    assert layers == [(1, {"b", "c", "d"}), (2, {"e"}), (3, set())]
+    assert clique.scans == 1
+
+
 def test_stale_index_reads_after_apply_delta_are_impossible():
     """Regression: every surgical path must leave the cached indexes
     either patched or invalidated — a read can never see pre-delta data."""

@@ -475,6 +475,8 @@ def test_update_command_evolves_a_bundle(tmp_path, capsys):
     assert main(["update", "--graph", str(bundle), str(events_path)]) == 0
     out = capsys.readouterr().out
     assert "epoch 1" in out and "2 events" in out
+    # the twins form one DG, SG and CG group; nothing declares a dependency
+    assert "\ngroups DG=1, DeG=0, SG=1, CG=1\n" in out
     evolved = load_malgraph_bundle(bundle)  # updated in place
     assert evolved.dataset.get(twin.package) is not None
     assert evolved.graph.has_node(f"pypi:{twin.package.name}@1.0")
