@@ -429,11 +429,10 @@ def cmd_update(args: argparse.Namespace) -> int:
         from repro.core.similarity import SimilarityConfig
 
         similarity = SimilarityConfig(jobs=args.jobs)
-    base = load_malgraph_bundle(bundle)
+    base = load_malgraph_bundle(bundle, similarity, pipeline.get_store())
     try:
-        evolved, delta = base.apply_delta(
-            events, store=pipeline.get_store(), similarity=similarity
-        )
+        # the loaded graph is ours alone: evolve it without a fork
+        evolved, delta = base.apply_delta(events, in_place=True)
     except (DatasetError, GraphError) as error:
         print(f"update error: {error}", file=sys.stderr)
         return 2

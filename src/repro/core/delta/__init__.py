@@ -16,8 +16,10 @@ removed, report ingested) into a surgical update of an existing
 * :mod:`repro.core.delta.engine` — :func:`apply_delta`, the correctness
   anchor: its output is byte-identical after canonical serialisation to
   a cold ``MalGraph.build`` over the post-events collection. It keeps
-  no group structure: the query-index patch re-derives the DG/DeG/SG/CG
-  groups a batch touched (:mod:`repro.core.query.indexes`).
+  no clique handles, settings or group structure: the graph finds a
+  clique by its members and records the clustering configuration and
+  store, and the query-index patch re-derives the DG/DeG/SG/CG groups a
+  batch touched (:mod:`repro.core.query.indexes`).
 """
 
 from repro.core.delta.engine import DeltaReport, apply_delta

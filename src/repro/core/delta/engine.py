@@ -22,7 +22,11 @@ The engine touches only what the batch touches:
 * **co-existing** cliques are re-derived per affected report via a
   maintained package -> mentioning-reports index.
 
-The engine keeps no group structure. It records, per edge type, the
+The engine holds no clique handles: it diffs each clique's member set
+before the batch against the desired one, and the graph finds the held
+clique by its members. Nor does it keep settings: a batch clusters
+with the configuration, and reads the store, that the graph records.
+It keeps no group structure either. It records, per edge type, the
 nodes whose adjacency the batch changed in the graph's
 :class:`~repro.core.query.indexes.IndexPatch`, and the query-index
 patch re-derives the DG/DeG/SG/CG groups holding them from its own
@@ -35,6 +39,7 @@ they are read.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -70,95 +75,71 @@ DepKey = Tuple[str, str]  # (ecosystem, name)
 # ---------------------------------------------------------------------------
 
 class DeltaState:
-    """Maintained reverse indexes over one MalGraph's current contents."""
+    """The reverse indexes graph surgery reads that the graph cannot
+    answer itself. Cliques and settings are the graph's own: a clique is
+    found by its member set (:meth:`PropertyGraph.remove_clique`), and
+    the clustering configuration and store are the ones the
+    :class:`MalGraph` records."""
 
     def __init__(
         self,
         similar_stage: IncrementalSimilarStage,
         by_sha: Dict[str, Set[PackageId]],
-        sha_clique: Dict[str, int],
-        similar_cliques: Dict[FrozenSet[str], int],
-        report_clique: Dict[str, int],
-        dependents: Dict[DepKey, Set[PackageId]],
-        mentions: Dict[PackageId, Set[str]],
-        reports_by_id: Dict[str, CollectedReport],
         name_index: Dict[DepKey, Set[PackageId]],
+        dependents: Dict[DepKey, Set[PackageId]],
+        mentions: Dict[PackageId, Dict[str, CollectedReport]],
     ) -> None:
         self.similar_stage = similar_stage
+        #: sha256 -> the available packages whose artifact hashes to it
         self.by_sha = by_sha
-        self.sha_clique = sha_clique
-        self.similar_cliques = similar_cliques
-        self.report_clique = report_clique
-        self.dependents = dependents
-        self.mentions = mentions
-        self.reports_by_id = reports_by_id
         #: (ecosystem, name) -> the packages carrying that name
         self.name_index = name_index
+        #: (ecosystem, dep-name) -> the available packages declaring it
+        self.dependents = dependents
+        #: package -> report id -> the reports that name the package
+        self.mentions = mentions
 
     # ------------------------------------------------------------------
     @classmethod
     def bootstrap(cls, malgraph: MalGraph, config: SimilarityConfig) -> "DeltaState":
-        """Derive the reverse indexes from a cold-built (or loaded) graph."""
+        """Derive the reverse indexes from a cold-built (or loaded) graph.
+
+        Refuses (:class:`GraphError`) a graph whose co-existing cliques
+        are not, as a multiset, its reports' groups: surgery finds a
+        report's clique by the group the report resolved to before the
+        batch, so a mismatch would surface half-way through a batch.
+        """
         graph, dataset = malgraph.graph, malgraph.dataset
 
         by_sha: Dict[str, Set[PackageId]] = {}
-        for entry in dataset.available_entries():
-            by_sha.setdefault(entry.sha256(), set()).add(entry.package)
-
-        sha_clique: Dict[str, int] = {}
-        for index, members in graph.live_cliques(EdgeType.DUPLICATED):
-            sha = graph.node(next(iter(members)))["sha256"]
-            sha_clique[sha] = index
-
-        similar_cliques: Dict[FrozenSet[str], int] = {
-            members: index
-            for index, members in graph.live_cliques(EdgeType.SIMILAR)
-        }
-
-        # co-existing cliques are matched to reports by member set; two
-        # reports with the same member set may hold either clique index
-        # (the indices are interchangeable handles)
-        pool: Dict[FrozenSet[str], List[int]] = {}
-        for index, members in graph.live_cliques(EdgeType.COEXISTING):
-            pool.setdefault(members, []).append(index)
-        report_clique: Dict[str, int] = {}
-        for report in dataset.reports:
-            group = coexisting_group_of_report(dataset, report)
-            if group is None:
-                continue
-            members = frozenset(node_id(m.package) for m in group)
-            held = pool.get(members)
-            if not held:
-                raise GraphError(
-                    "co-existing cliques do not match the dataset's reports"
-                )
-            report_clique[report.report_id] = held.pop()
-
         dependents: Dict[DepKey, Set[PackageId]] = {}
         for entry in dataset.available_entries():
+            by_sha.setdefault(entry.sha256(), set()).add(entry.package)
             for key in _dependent_keys(entry):
                 dependents.setdefault(key, set()).add(entry.package)
         name_index: Dict[DepKey, Set[PackageId]] = {}
         for pid in dataset.package_keys():
             name_index.setdefault((pid.ecosystem, pid.name), set()).add(pid)
 
-        mentions: Dict[PackageId, Set[str]] = {}
-        reports_by_id: Dict[str, CollectedReport] = {}
+        groups: Counter = Counter()
+        mentions: Dict[PackageId, Dict[str, CollectedReport]] = {}
         for report in dataset.reports:
-            reports_by_id[report.report_id] = report
+            members = _coexisting(dataset, report)
+            if members is not None:
+                groups[members] += 1
             for pid in report.packages:
-                mentions.setdefault(pid, set()).add(report.report_id)
+                mentions.setdefault(pid, {})[report.report_id] = report
+        if groups != Counter(graph.cliques(EdgeType.COEXISTING)):
+            raise GraphError(
+                "co-existing cliques do not match the dataset's reports"
+            )
 
         return cls(
             similar_stage=IncrementalSimilarStage(config),
             by_sha=by_sha,
-            sha_clique=sha_clique,
-            similar_cliques=similar_cliques,
-            report_clique=report_clique,
+            name_index=name_index,
             dependents=dependents,
             mentions=mentions,
-            reports_by_id=reports_by_id,
-            name_index=name_index,
         )
 
     def fork(self) -> "DeltaState":
@@ -168,13 +149,9 @@ class DeltaState:
         return DeltaState(
             similar_stage=self.similar_stage,
             by_sha={sha: set(pids) for sha, pids in self.by_sha.items()},
-            sha_clique=dict(self.sha_clique),
-            similar_cliques=dict(self.similar_cliques),
-            report_clique=dict(self.report_clique),
-            dependents={key: set(pids) for key, pids in self.dependents.items()},
-            mentions={pid: set(rids) for pid, rids in self.mentions.items()},
-            reports_by_id=dict(self.reports_by_id),
             name_index={key: set(pids) for key, pids in self.name_index.items()},
+            dependents={key: set(pids) for key, pids in self.dependents.items()},
+            mentions={pid: dict(held) for pid, held in self.mentions.items()},
         )
 
 
@@ -212,25 +189,6 @@ class DeltaReport:
     embed_cache_hits: int = 0
     embed_cache_misses: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "events": self.events,
-            "epoch": self.epoch,
-            "batch_hash": self.batch_hash,
-            "seconds": self.seconds,
-            "packages_added": self.packages_added,
-            "packages_updated": self.packages_updated,
-            "packages_removed": self.packages_removed,
-            "reports_added": self.reports_added,
-            "cliques_added": dict(self.cliques_added),
-            "cliques_removed": dict(self.cliques_removed),
-            "edges_added": self.edges_added,
-            "edges_removed": self.edges_removed,
-            "nodes_touched": self.nodes_touched,
-            "embed_cache_hits": self.embed_cache_hits,
-            "embed_cache_misses": self.embed_cache_misses,
-        }
-
     def summary(self) -> str:
         """One line for the ``repro update`` CLI. "embedded M of N" counts
         the batch's unique embeddable artifacts (N) and those no cache
@@ -255,35 +213,28 @@ class DeltaReport:
 # ---------------------------------------------------------------------------
 
 def apply_delta(
-    base: MalGraph,
-    events: Sequence[GraphEvent],
-    store=None,
-    in_place: bool = False,
-    similarity: Optional[SimilarityConfig] = None,
+    base: MalGraph, events: Sequence[GraphEvent], in_place: bool = False
 ) -> Tuple[MalGraph, DeltaReport]:
     """Apply one ordered event batch to ``base``.
 
     See :meth:`repro.core.malgraph.MalGraph.apply_delta` for the public
-    contract. ``similarity`` must match the configuration the base was
-    built with; it defaults to ``base.similarity_config`` (falling back
-    to the stock :class:`SimilarityConfig`). The clustering
-    configuration is fixed by the *first* delta application — later
-    calls reuse the established incremental stage. ``store`` defaults
-    to ``base.store``, the store whose embedding tiers hold the base's
-    vectors. The delta state is bootstrapped on ``base`` even when the
-    update lands on a fork, so every fork of one base copies a single
-    state (and shares its similar stage) instead of bootstrapping again.
+    contract. The batch clusters with ``base.similarity_config`` (the
+    stock :class:`SimilarityConfig` when the graph records none) and
+    reads vectors from ``base.store``. The delta state is bootstrapped
+    on ``base`` even when the update lands on a fork, so every fork of
+    one base copies a single state (and shares its similar stage)
+    instead of bootstrapping again.
     """
     started = time.perf_counter()
     events = list(events)
     # validates the whole batch before anything is mutated
     evolved = apply_events_to_dataset(base.dataset, events)
 
-    config = similarity or base.similarity_config or SimilarityConfig()
-    store = store if store is not None else base.store
     if base._delta_state is None:
         # on the base, not the fork: every later fork copies this state
-        base._delta_state = DeltaState.bootstrap(base, config)
+        base._delta_state = DeltaState.bootstrap(
+            base, base.similarity_config or SimilarityConfig()
+        )
     target = base if in_place else _fork(base)
     graph = target.graph
     version_before = graph.version
@@ -325,49 +276,30 @@ def apply_delta(
 
     target.dataset = evolved
     removed_ids = {node_id(e.package) for e in removed}
+    replaced = [old for old, _ in changed]
+    updated = [new for _, new in changed]
 
     # per type, the nodes whose adjacency this batch changed: the ends of
     # every edge or clique removed or added (the index patch's dirty set)
     touched: Dict[EdgeType, Set[str]] = {t: set() for t in EdgeType}
 
     # -- nodes --------------------------------------------------------------
-    for entry in added:
-        graph.add_node(node_id(entry.package), **node_attrs(entry))
-    for _, entry in changed:
+    for entry in added + updated:
         graph.add_node(node_id(entry.package), **node_attrs(entry))
 
     # -- duplicated ---------------------------------------------------------
-    affected_shas: Set[str] = set()
-    for entry in removed:
-        if entry.available:
-            affected_shas.add(entry.sha256())
-            state.by_sha[entry.sha256()].discard(entry.package)
-    for old, new in changed:
-        if old.available:
-            affected_shas.add(old.sha256())
-            state.by_sha[old.sha256()].discard(old.package)
-        if new.available:
-            affected_shas.add(new.sha256())
-            state.by_sha.setdefault(new.sha256(), set()).add(new.package)
-    for entry in added:
-        if entry.available:
-            affected_shas.add(entry.sha256())
-            state.by_sha.setdefault(entry.sha256(), set()).add(entry.package)
-
-    for sha in sorted(affected_shas):
-        pids = state.by_sha.get(sha, set())
-        desired = (
-            frozenset(node_id(pid) for pid in pids) if len(pids) >= 2 else None
-        )
-        _sync_clique(
-            graph,
-            EdgeType.DUPLICATED,
-            state.sha_clique,
-            sha,
-            desired,
-            touched,
-            report,
-        )
+    # an affected SHA256's clique before the batch is its packages in
+    # by_sha, read before the batch updates it
+    gone = [(e.sha256(), e.package) for e in removed + replaced if e.available]
+    came = [(e.sha256(), e.package) for e in updated + added if e.available]
+    held_dup = {sha: _duplicated(state.by_sha.get(sha, ())) for sha, _ in gone + came}
+    for sha, pid in gone:
+        state.by_sha[sha].discard(pid)
+    for sha, pid in came:
+        state.by_sha.setdefault(sha, set()).add(pid)
+    for sha, held in sorted(held_dup.items()):
+        desired = _duplicated(state.by_sha[sha])
+        _sync_clique(graph, EdgeType.DUPLICATED, held, desired, touched, report)
 
     # -- dependency ---------------------------------------------------------
     for entry in removed:
@@ -386,7 +318,7 @@ def apply_delta(
         for key in _dependent_keys(entry):
             state.dependents.setdefault(key, set()).add(pid)
 
-    for entry in added + [new for _, new in changed]:
+    for entry in added + updated:
         nid = node_id(entry.package)
         desired = _desired_dependency(entry, state.name_index, state.dependents)
         current = graph.neighbors(nid, EdgeType.DEPENDENCY)
@@ -401,62 +333,37 @@ def apply_delta(
 
     # -- similar ------------------------------------------------------------
     similar = similar_groups_of(
-        evolved, lambda entries: state.similar_stage.recompute(entries, store=store)
+        evolved,
+        lambda entries: state.similar_stage.recompute(entries, store=target.store),
     )
     report.embed_cache_hits = similar.clustering.timings.cache_hits
     report.embed_cache_misses = similar.clustering.timings.cache_misses
     desired_sim: Set[FrozenSet[str]] = {
         frozenset(node_id(e.package) for e in group) for group in similar.groups
     }
-    for members in [
-        held for held in state.similar_cliques if held not in desired_sim
-    ]:
-        index = state.similar_cliques.pop(members)
-        graph.remove_clique_at(EdgeType.SIMILAR, index)
-        touched[EdgeType.SIMILAR].update(members)
-        report.cliques_removed[EdgeType.SIMILAR.value] += 1
-    for members in sorted(
-        (m for m in desired_sim if m not in state.similar_cliques), key=sorted
-    ):
-        index = graph.add_clique(sorted(members), EdgeType.SIMILAR)
-        state.similar_cliques[members] = index
-        touched[EdgeType.SIMILAR].update(members)
-        report.cliques_added[EdgeType.SIMILAR.value] += 1
+    held_sim = graph.cliques(EdgeType.SIMILAR)
+    for members in held_sim:
+        if members not in desired_sim:
+            _sync_clique(graph, EdgeType.SIMILAR, members, None, touched, report)
+    for members in sorted(desired_sim.difference(held_sim), key=sorted):
+        _sync_clique(graph, EdgeType.SIMILAR, None, members, touched, report)
     target.similar = similar
 
     # -- co-existing --------------------------------------------------------
-    affected_rids: Set[str] = set()
-    for entry in added:
-        affected_rids |= state.mentions.get(entry.package, set())
-    for entry in removed:
-        affected_rids |= state.mentions.get(entry.package, set())
-    for rid in sorted(affected_rids):
-        group = coexisting_group_of_report(evolved, state.reports_by_id[rid])
-        desired = (
-            frozenset(node_id(m.package) for m in group)
-            if group is not None
-            else None
-        )
-        _sync_clique(
-            graph,
-            EdgeType.COEXISTING,
-            state.report_clique,
-            rid,
-            desired,
-            touched,
-            report,
-        )
+    # a report's clique before the batch is its group in the pre-batch
+    # dataset
+    affected: Dict[str, CollectedReport] = {}
+    for entry in added + removed:
+        affected.update(state.mentions.get(entry.package, {}))
+    for rid in sorted(affected):
+        rep = affected[rid]
+        held, desired = _coexisting(base_dataset, rep), _coexisting(evolved, rep)
+        _sync_clique(graph, EdgeType.COEXISTING, held, desired, touched, report)
     for rep in new_reports:
-        state.reports_by_id[rep.report_id] = rep
         for pid in rep.packages:
-            state.mentions.setdefault(pid, set()).add(rep.report_id)
-        group = coexisting_group_of_report(evolved, rep)
-        if group is not None:
-            members = frozenset(node_id(m.package) for m in group)
-            index = graph.add_clique(sorted(members), EdgeType.COEXISTING)
-            state.report_clique[rep.report_id] = index
-            touched[EdgeType.COEXISTING].update(members)
-            report.cliques_added[EdgeType.COEXISTING.value] += 1
+            state.mentions.setdefault(pid, {})[rep.report_id] = rep
+        desired = _coexisting(evolved, rep)
+        _sync_clique(graph, EdgeType.COEXISTING, None, desired, touched, report)
 
     # -- node removal (every stale clique is already gone) ------------------
     for entry in removed:
@@ -469,8 +376,6 @@ def apply_delta(
             touched[edge_type].add(nid)
         graph.remove_node(nid)
 
-    target._group_cache = {}
-
     # even a batch with no structural graph change (e.g. a DETECTED event
     # altering only download counts) must invalidate version-keyed caches
     if graph.version == version_before and (
@@ -479,7 +384,6 @@ def apply_delta(
         graph.touch()
 
     target.delta_epoch += 1
-    target.last_delta_at = time.time()
 
     refreshed = {node_id(e.package) for e in added}
     refreshed |= {node_id(e.package) for _, e in changed}
@@ -501,27 +405,40 @@ def apply_delta(
 # ---------------------------------------------------------------------------
 
 def _fork(base: MalGraph) -> MalGraph:
-    """Cheap fork: graph structurally copied, entry objects shared.
+    """Cheap fork: graph structurally copied, dataset shared.
 
-    Sharing entries is safe because every delta mutation replaces entry
-    objects wholesale (events carry full replacement payloads) — nothing
-    ever mutates a :class:`DatasetEntry` in place.
+    Sharing the dataset is safe because nothing mutates one: the engine
+    reads the fork's dataset and then replaces it with the post-events
+    dataset, whose untouched entries are the base's own objects (events
+    carry full replacement payloads, so no :class:`DatasetEntry` is
+    ever mutated in place).
     """
     dup = MalGraph(
         graph=base.graph.copy(),
-        dataset=MalwareDataset(
-            entries=list(base.dataset.entries),
-            reports=list(base.dataset.reports),
-        ),
+        dataset=base.dataset,
         similar=base.similar,
         similarity_config=base.similarity_config,
         store=base.store,
         delta_epoch=base.delta_epoch,
-        last_delta_at=base.last_delta_at,
     )
     if base._delta_state is not None:
         dup._delta_state = base._delta_state.fork()
     return dup
+
+
+def _duplicated(pids) -> Optional[FrozenSet[str]]:
+    """The duplicated clique over packages sharing one SHA256, or None
+    below two."""
+    return frozenset(node_id(pid) for pid in pids) if len(pids) >= 2 else None
+
+
+def _coexisting(
+    dataset: MalwareDataset, report: CollectedReport
+) -> Optional[FrozenSet[str]]:
+    """The co-existing clique one report resolves to in ``dataset``, or
+    None below two members."""
+    group = coexisting_group_of_report(dataset, report)
+    return None if group is None else frozenset(node_id(m.package) for m in group)
 
 
 def _desired_dependency(
@@ -546,25 +463,21 @@ def _desired_dependency(
 def _sync_clique(
     graph: PropertyGraph,
     edge_type: EdgeType,
-    index_map: Dict,
-    key,
+    held: Optional[FrozenSet[str]],
     desired: Optional[FrozenSet[str]],
     touched: Dict[EdgeType, Set[str]],
     report: DeltaReport,
 ) -> None:
-    """Make the clique registered under ``key`` match ``desired``."""
-    held = index_map.get(key)
-    current = graph.clique_at(edge_type, held) if held is not None else None
-    if current == desired:
+    """Replace the live clique over ``held`` by one over ``desired``
+    (None: no clique)."""
+    if held == desired:
         return
     if held is not None:
-        members = graph.remove_clique_at(edge_type, held)
-        touched[edge_type].update(members)
-        del index_map[key]
+        graph.remove_clique(edge_type, held)
+        touched[edge_type].update(held)
         report.cliques_removed[edge_type.value] += 1
     if desired is not None:
-        index = graph.add_clique(sorted(desired), edge_type)
-        index_map[key] = index
+        graph.add_clique(sorted(desired), edge_type)
         touched[edge_type].update(desired)
         report.cliques_added[edge_type.value] += 1
 

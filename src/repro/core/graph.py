@@ -103,8 +103,8 @@ class PropertyGraph:
         self._adjacency: Dict[EdgeType, Dict[str, Set[str]]] = {
             t: {} for t in EdgeType
         }
-        # clique slots are tombstoned to None on removal so indices held
-        # by incremental maintainers stay stable
+        # clique slots are tombstoned to None on removal so the slots the
+        # query-index patch keys cliques by stay stable
         self._cliques: Dict[EdgeType, List[Optional[FrozenSet[str]]]] = {
             t: [] for t in EdgeType
         }
@@ -229,30 +229,31 @@ class PropertyGraph:
             self._clique_membership[edge_type].setdefault(member, []).append(index)
         return index
 
-    def remove_clique_at(self, edge_type: EdgeType, index: int) -> FrozenSet[str]:
-        """Tombstone one clique by index, returning its members.
+    def remove_clique(self, edge_type: EdgeType, members: Iterable[str]) -> None:
+        """Tombstone the live clique over exactly ``members``.
 
-        Indices of other cliques are unchanged (the slot is set to
-        ``None`` rather than compacted), so handles held by incremental
-        maintainers stay valid.
+        When several live cliques share the member set, the oldest goes
+        (they are interchangeable). Indices of other cliques are
+        unchanged (the slot is set to ``None`` rather than compacted),
+        so the query-index patch can keep keying cliques by slot.
         """
-        try:
-            members = self._cliques[edge_type][index]
-        except IndexError:
-            members = None
-        if members is None:
+        members = frozenset(members)
+        cliques = self._cliques[edge_type]
+        membership = self._clique_membership[edge_type]
+        for index in membership.get(next(iter(members), None), ()):
+            if cliques[index] == members:
+                break
+        else:
             raise GraphError(
-                f"no live {edge_type.value} clique at index {index}"
+                f"no live {edge_type.value} clique over {sorted(members)}"
             )
         self._version += 1
-        self._cliques[edge_type][index] = None
+        cliques[index] = None
         for member in members:
-            held = self._clique_membership[edge_type].get(member)
-            if held is not None:
-                held.remove(index)
-                if not held:
-                    del self._clique_membership[edge_type][member]
-        return members
+            held = membership[member]
+            held.remove(index)
+            if not held:
+                del membership[member]
 
     def cliques(self, edge_type: EdgeType) -> List[FrozenSet[str]]:
         """The live cliques of one edge type (tombstones skipped)."""
@@ -265,12 +266,6 @@ class PropertyGraph:
             for index, members in enumerate(self._cliques[edge_type])
             if members is not None
         ]
-
-    def clique_at(self, edge_type: EdgeType, index: int) -> Optional[FrozenSet[str]]:
-        """Members of the clique at ``index``, or None if tombstoned/unknown."""
-        if 0 <= index < len(self._cliques[edge_type]):
-            return self._cliques[edge_type][index]
-        return None
 
     def has_edge(self, u: str, v: str, edge_type: EdgeType) -> bool:
         if v in self._adjacency[edge_type].get(u, ()):
@@ -424,9 +419,8 @@ class PropertyGraph:
     def copy(self) -> "PropertyGraph":
         """Structural deep copy (node attrs copied one level deep).
 
-        Preserves clique slot order including tombstones, so clique
-        indices recorded against the original remain valid against the
-        copy — the delta engine relies on this to fork a base graph.
+        Preserves clique slot order including tombstones, so a slot
+        names the same clique in the original and the copy.
         """
         dup = PropertyGraph()
         dup._version = self._version

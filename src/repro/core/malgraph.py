@@ -43,7 +43,8 @@ class MalGraph:
     graph: PropertyGraph
     dataset: MalwareDataset
     similar: SimilarBuildResult
-    _group_cache: Dict[GroupKind, List[PackageGroup]] = field(
+    #: kind -> (graph version, groups) as of that version
+    _group_cache: Dict[GroupKind, Tuple[int, List[PackageGroup]]] = field(
         default_factory=dict, repr=False
     )
     # guards _group_cache: concurrent first calls (e.g. two HTTP threads
@@ -63,8 +64,6 @@ class MalGraph:
     )
     #: advanced once per applied delta batch
     delta_epoch: int = 0
-    #: wall-clock time of the last applied delta batch (None = never)
-    last_delta_at: Optional[float] = None
     _delta_state: Optional["DeltaState"] = field(
         default=None, repr=False, compare=False
     )
@@ -121,55 +120,51 @@ class MalGraph:
 
     # ------------------------------------------------------------------
     def apply_delta(
-        self,
-        events: Sequence["GraphEvent"],
-        store=None,
-        in_place: bool = False,
-        similarity: Optional[SimilarityConfig] = None,
+        self, events: Sequence["GraphEvent"], in_place: bool = False
     ) -> Tuple["MalGraph", "DeltaReport"]:
         """Surgically update this graph from an ordered event batch.
 
         Returns ``(updated, report)``. By default the update lands on a
-        cheap fork (entry objects shared, graph structurally copied) and
-        this instance is untouched — safe for cached bases. With
+        cheap fork (dataset shared, graph structurally copied) and this
+        instance is untouched — safe for cached bases. With
         ``in_place=True`` the update mutates ``self``.
 
         The result is byte-identical, after canonical serialisation
         (:func:`repro.io.malgraphs.canonical_malgraph_json`), to a cold
         ``MalGraph.build`` over the post-events collection.
 
-        ``store`` defaults to :attr:`store`, the store the graph was
-        built or loaded with: the similar stage reads each vector from
-        its memory tier, then its disk tier, and embeds only artifacts
-        the store has never seen, writing those back to both tiers. A
-        fork keeps the recorded store. The first apply keeps its delta
-        state on this instance, even when the update lands on a fork, so
-        later forks copy that state and embed nothing it already holds.
+        The batch clusters with :attr:`similarity_config` and reads
+        vectors from :attr:`store`, the settings the graph was built or
+        loaded with, which a fork keeps: the similar stage reads each
+        vector from the store's memory tier, then its disk tier, and
+        embeds only artifacts the store has never seen, writing those
+        back to both tiers. The first apply keeps its delta state on
+        this instance, even when the update lands on a fork, so later
+        forks copy that state and embed nothing it already holds.
         """
         from repro.core.delta.engine import apply_delta as _apply_delta
 
-        return _apply_delta(
-            self, events, store=store, in_place=in_place, similarity=similarity
-        )
+        return _apply_delta(self, events, in_place=in_place)
 
     # ------------------------------------------------------------------
     def groups(self, kind: GroupKind) -> List[PackageGroup]:
-        """Connected-subgraph groups of one kind (memoised).
+        """Connected-subgraph groups of one kind, memoised per graph
+        version, as :func:`repro.core.query.indexes.graph_indexes` keys
+        its indexes: any change to the graph reads them afresh.
 
         Double-checked under a lock so concurrent first callers compute
-        each kind exactly once; the query layer's index cache
-        (:func:`repro.core.query.indexes.graph_indexes`) uses the same
-        pattern.
+        each kind exactly once.
         """
+        version = self.graph.version
         held = self._group_cache.get(kind)
-        if held is not None:
-            return held
+        if held is not None and held[0] == version:
+            return held[1]
         with self._group_lock:
             held = self._group_cache.get(kind)
-            if held is None:
-                held = extract_groups(self.graph, self.dataset, kind)
+            if held is None or held[0] != version:
+                held = (version, extract_groups(self.graph, self.dataset, kind))
                 self._group_cache[kind] = held
-            return held
+            return held[1]
 
     def query_indexes(self) -> "GraphIndexes":
         """The graph's cached query indexes, enriched with this

@@ -14,7 +14,7 @@ artifacts with one configuration fingerprint.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 import json
 
@@ -24,8 +24,11 @@ from repro.collection.records import DatasetEntry, MalwareDataset
 from repro.core.edges import SimilarBuildResult, node_id
 from repro.core.graph import PropertyGraph
 from repro.core.malgraph import MalGraph
-from repro.core.similarity import SimilarityResult
+from repro.core.similarity import SimilarityConfig, SimilarityResult
 from repro.errors import DatasetError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.pipeline.store import ArtifactStore
 
 PathLike = Union[str, Path]
 
@@ -147,12 +150,17 @@ def save_malgraph_bundle(malgraph: MalGraph, directory: PathLike) -> Path:
     return directory
 
 
-def load_malgraph_bundle(directory: PathLike) -> MalGraph:
-    """Load a bundle written by :func:`save_malgraph_bundle`."""
+def load_malgraph_bundle(
+    directory: PathLike,
+    similarity: Optional[SimilarityConfig] = None,
+    store: Optional["ArtifactStore"] = None,
+) -> MalGraph:
+    """Load a bundle written by :func:`save_malgraph_bundle`, recording
+    ``similarity`` and ``store`` on it as :func:`load_malgraph` does."""
     from repro.io.datasets import load_dataset
 
     dataset = load_dataset(directory)
-    return load_malgraph(directory, dataset)
+    return load_malgraph(directory, dataset, similarity, store)
 
 
 def save_malgraph(malgraph: MalGraph, directory: PathLike) -> Path:
@@ -164,7 +172,21 @@ def save_malgraph(malgraph: MalGraph, directory: PathLike) -> Path:
     return directory
 
 
-def load_malgraph(directory: PathLike, dataset: MalwareDataset) -> MalGraph:
-    """Load a MALGRAPH written by :func:`save_malgraph`."""
+def load_malgraph(
+    directory: PathLike,
+    dataset: MalwareDataset,
+    similarity: Optional[SimilarityConfig] = None,
+    store: Optional["ArtifactStore"] = None,
+) -> MalGraph:
+    """Load a MALGRAPH written by :func:`save_malgraph`.
+
+    The payload holds no settings, so the loaded graph records the ones
+    given: its deltas cluster with ``similarity`` (the graph was built
+    with it; None means the stock configuration) and read vectors from
+    ``store``'s embedding tiers instead of embedding the corpus again.
+    """
     payload = (Path(directory) / MALGRAPH_FILENAME).read_text()
-    return malgraph_from_dict(json.loads(payload), dataset)
+    malgraph = malgraph_from_dict(json.loads(payload), dataset)
+    malgraph.similarity_config = similarity
+    malgraph.store = store
+    return malgraph

@@ -108,12 +108,12 @@ class CollectionCodec:
 
 class MalGraphCodec:
     """Disk format for a built MALGRAPH; loading re-links the graph's
-    group structures against the dataset the graph was built from and
-    stamps the ``SimilarityConfig`` it was built with (the payload holds
-    none, and later deltas must cluster with it) and the loading
-    runtime's ``ArtifactStore`` (its embedding tiers hold the graph's
-    vectors, which later deltas read instead of embedding the corpus
-    again)."""
+    group structures against the dataset the graph was built from, and
+    :func:`~repro.io.malgraphs.load_malgraph` records on it the
+    ``SimilarityConfig`` it was built with (the payload holds none, and
+    later deltas must cluster with it) and the loading runtime's
+    ``ArtifactStore`` (its embedding tiers hold the graph's vectors,
+    which later deltas read instead of embedding the corpus again)."""
 
     def __init__(
         self,
@@ -133,10 +133,7 @@ class MalGraphCodec:
     def load(self, directory: Path) -> MalGraph:
         from repro.io.malgraphs import load_malgraph
 
-        malgraph = load_malgraph(directory, self.dataset)
-        malgraph.similarity_config = self.similarity
-        malgraph.store = self.store
-        return malgraph
+        return load_malgraph(directory, self.dataset, self.similarity, self.store)
 
 
 class ColumnarCodec:
@@ -164,7 +161,7 @@ class MalGraphBundleCodec:
     """Disk format for a delta-evolved MALGRAPH: dataset + graph in one
     directory. Unlike :class:`MalGraphCodec`, the dataset travels with
     the graph — an evolved dataset has no collection fingerprint of its
-    own to re-link against. Loading stamps the ``SimilarityConfig``
+    own to re-link against. Loading records the ``SimilarityConfig``
     later deltas cluster with and the ``ArtifactStore`` they read
     vectors from, as :class:`MalGraphCodec` does."""
 
@@ -180,10 +177,7 @@ class MalGraphBundleCodec:
     def load(self, directory: Path) -> MalGraph:
         from repro.io.malgraphs import load_malgraph_bundle
 
-        malgraph = load_malgraph_bundle(directory)
-        malgraph.similarity_config = self.similarity
-        malgraph.store = self.store
-        return malgraph
+        return load_malgraph_bundle(directory, self.similarity, self.store)
 
 
 class PipelineRuntime:
@@ -343,9 +337,7 @@ class PipelineRuntime:
         return malgraph
 
     def _apply_delta(self, base: MalGraph, events) -> MalGraph:
-        updated, delta_report = base.apply_delta(
-            events, store=self.store, similarity=self.similarity
-        )
+        updated, delta_report = base.apply_delta(events)
         self.report.record_substage(
             STAGE_DELTA, "apply_delta", delta_report.seconds,
             {"summary": delta_report.summary()},

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 
 from repro.core.delta import GraphEvent, apply_events_to_dataset
 from repro.core.delta.engine import DeltaState
+from repro.core.graph import EdgeType
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
 from repro.core.query import build_indexes
 from repro.core.query import indexes as indexes_module
-from repro.errors import DatasetError
+from repro.errors import DatasetError, GraphError
 from repro.io.malgraphs import canonical_malgraph_json
 
 from tests.core.helpers import dataset, entry, report
@@ -78,7 +79,6 @@ def test_every_event_kind_matches_cold_rebuild():
     assert delta.packages_updated == 1
     assert delta.packages_removed == 1
     assert delta.reports_added == 1
-    assert evolved.last_delta_at is not None
     # three embeddable entries, two payloads; the graph has no store and
     # no earlier delta, so both are embedded
     assert (delta.embed_cache_hits, delta.embed_cache_misses) == (0, 2)
@@ -161,6 +161,49 @@ def test_invalid_batch_leaves_base_unchanged():
         base.apply_delta([GraphEvent.package_added(entry("alpha", code=SHARED))])
     assert canonical_malgraph_json(base) == before
     assert base.delta_epoch == 0
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_a_graph_whose_coexisting_cliques_miss_a_report_is_refused(in_place):
+    """Surgery finds a report's clique by the group the report resolved
+    to before the batch, so the first apply refuses a graph whose
+    co-existing cliques do not match its reports, before any change."""
+    base = MalGraph.build(_base())
+    base.graph.remove_clique(
+        EdgeType.COEXISTING, ["pypi:alpha@1.0", "pypi:beta@1.0"]
+    )
+    before = canonical_malgraph_json(base)
+    version = base.graph.version
+    with pytest.raises(GraphError, match="co-existing cliques"):
+        base.apply_delta(
+            [GraphEvent.package_removed(entry("alpha").package)], in_place=in_place
+        )
+    assert canonical_malgraph_json(base) == before
+    assert base.graph.version == version
+    assert base.delta_epoch == 0 and base._delta_state is None
+
+
+def test_two_reports_on_one_group_grow_one_clique():
+    """Both reports resolve to {a, b}; the second also names c, which a
+    batch publishes. Exactly one of the two equal cliques grows."""
+    a, b, c = entry("a", code=SHARED), entry("b", code=VARIANTS[1]), entry("c")
+    base_ds = dataset(
+        [a, b],
+        [
+            report("r-1", [a.package, b.package]),
+            report("r-2", [a.package, b.package, c.package]),
+        ],
+    )
+    base = MalGraph.build(base_ds)
+    events = [GraphEvent.package_added(c)]
+    evolved, delta = base.apply_delta(events)
+    assert sorted(map(sorted, evolved.graph.cliques(EdgeType.COEXISTING))) == [
+        ["pypi:a@1.0", "pypi:b@1.0"],
+        ["pypi:a@1.0", "pypi:b@1.0", "pypi:c@1.0"],
+    ]
+    assert delta.cliques_removed["coexisting"] == 1
+    assert delta.cliques_added["coexisting"] == 1
+    _assert_matches_cold(evolved, base_ds, events)
 
 
 # ---------------------------------------------------------------------------

@@ -293,7 +293,7 @@ def test_every_mutator_bumps_the_version():
     bumps(lambda: g.add_node("c"))
     bumps(lambda: g.add_edge("a", "b", EdgeType.DEPENDENCY))
     index = bumps(lambda: g.add_clique(["a", "b", "c"], EdgeType.SIMILAR))
-    bumps(lambda: g.remove_clique_at(EdgeType.SIMILAR, index))
+    bumps(lambda: g.remove_clique(EdgeType.SIMILAR, ["a", "b", "c"]))
     bumps(lambda: g.remove_edge("a", "b", EdgeType.DEPENDENCY))
     bumps(lambda: g.remove_node("c"))
     bumps(g.touch)
@@ -314,10 +314,10 @@ def test_clique_indices_are_stable_across_removals():
         g.add_node(n)
     first = g.add_clique(["a", "b"], EdgeType.SIMILAR)
     second = g.add_clique(["b", "c"], EdgeType.SIMILAR)
-    g.remove_clique_at(EdgeType.SIMILAR, first)
+    g.remove_clique(EdgeType.SIMILAR, ["a", "b"])
     # the surviving clique keeps its index; the freed slot is not reused
     third = g.add_clique(["a", "c"], EdgeType.SIMILAR)
-    assert g.clique_at(EdgeType.SIMILAR, second) == frozenset({"b", "c"})
+    assert dict(g.live_cliques(EdgeType.SIMILAR))[second] == frozenset({"b", "c"})
     assert third not in (first, second)
     assert g.add_clique(["a"], EdgeType.SIMILAR) is None  # degenerate
 
@@ -326,12 +326,49 @@ def test_clique_accessors_expose_tombstones():
     g = PropertyGraph()
     for n in ("a", "b", "c", "d"):
         g.add_node(n)
-    first = g.add_clique(["a", "b"], EdgeType.COEXISTING)
+    g.add_clique(["a", "b"], EdgeType.COEXISTING)
     second = g.add_clique(["c", "d"], EdgeType.COEXISTING)
-    g.remove_clique_at(EdgeType.COEXISTING, first)
-    assert g.clique_at(EdgeType.COEXISTING, first) is None
-    assert g.clique_at(EdgeType.COEXISTING, second) == frozenset({"c", "d"})
-    assert g.clique_at(EdgeType.COEXISTING, 99) is None
+    g.remove_clique(EdgeType.COEXISTING, ["a", "b"])
+    # both accessors skip the tombstoned slot
+    assert g.cliques(EdgeType.COEXISTING) == [frozenset({"c", "d"})]
     assert g.live_cliques(EdgeType.COEXISTING) == [
         (second, frozenset({"c", "d"}))
     ]
+
+
+def test_remove_clique_refuses_a_member_set_with_no_live_clique():
+    g = PropertyGraph()
+    for n in ("a", "b", "c"):
+        g.add_node(n)
+    g.add_clique(["a", "b", "c"], EdgeType.SIMILAR)
+    g.add_clique(["a", "b"], EdgeType.COEXISTING)
+    g.remove_clique(EdgeType.COEXISTING, ["a", "b"])
+    before = g.version
+    for edge_type, members in (
+        (EdgeType.SIMILAR, ["a", "b"]),  # a subset of a live clique
+        (EdgeType.SIMILAR, ["a", "b", "c", "d"]),  # a superset
+        (EdgeType.DUPLICATED, ["a", "b", "c"]),  # live under another type
+        (EdgeType.COEXISTING, ["a", "b"]),  # tombstoned
+        (EdgeType.SIMILAR, []),
+    ):
+        with pytest.raises(GraphError):
+            g.remove_clique(edge_type, members)
+    assert g.version == before
+    assert g.cliques(EdgeType.SIMILAR) == [frozenset({"a", "b", "c"})]
+
+
+def test_remove_clique_takes_one_of_several_equal_cliques():
+    """Two reports over one package set hold two equal co-existing
+    cliques; removing the set once leaves exactly one of them."""
+    g = PropertyGraph()
+    for n in ("a", "b"):
+        g.add_node(n)
+    g.add_clique(["a", "b"], EdgeType.COEXISTING)
+    g.add_clique(["a", "b"], EdgeType.COEXISTING)
+    g.remove_clique(EdgeType.COEXISTING, {"b", "a"})
+    assert g.cliques(EdgeType.COEXISTING) == [frozenset({"a", "b"})]
+    assert g.neighbors("a", EdgeType.COEXISTING) == {"b"}
+    g.remove_clique(EdgeType.COEXISTING, ["a", "b"])
+    assert g.neighbors("a", EdgeType.COEXISTING) == set()
+    with pytest.raises(GraphError):
+        g.remove_clique(EdgeType.COEXISTING, ["a", "b"])

@@ -45,6 +45,23 @@ def test_groups_memoised(mini_malgraph):
     assert mini_malgraph.groups(GroupKind.DG) is first
 
 
+def test_groups_are_read_afresh_after_a_graph_change():
+    """The group memo is keyed on the graph version, as the query
+    indexes are, so a change made on the graph directly shows."""
+    ds = dataset(
+        [
+            entry("one", code="def one():\n    return 1\n"),
+            entry("two", code="def two():\n    return 2\n"),
+        ]
+    )
+    malgraph = MalGraph.build(ds)
+    assert malgraph.groups(GroupKind.DG) == []
+    malgraph.graph.add_clique(["pypi:one@1.0", "pypi:two@1.0"], EdgeType.DUPLICATED)
+    (group,) = malgraph.groups(GroupKind.DG)
+    assert {e.package.name for e in group.members} == {"one", "two"}
+    assert malgraph.groups(GroupKind.DG) == [group]
+
+
 def test_duplicated_group_members(mini_malgraph):
     groups = mini_malgraph.groups(GroupKind.DG)
     assert len(groups) == 1

@@ -93,7 +93,7 @@ def test_snapshot_owns_its_tables(graph):
     graph.add_edge("n0", "n5", EdgeType.SIMILAR)
     graph.add_edge("n3", "n5", EdgeType.COEXISTING)
     graph.remove_edge("n4", "n5", EdgeType.DEPENDENCY)
-    graph.remove_clique_at(EdgeType.COEXISTING, 0)
+    graph.remove_clique(EdgeType.COEXISTING, ["n2", "n3", "n4"])
     graph.add_clique(["n0", "n3"], EdgeType.COEXISTING)
     assert {node: indexes.neighbors(node) for node in indexes.nodes} == before
 

@@ -328,9 +328,10 @@ def clique_graphs(draw):
     out, into = {}, {}
     for edge_type in EdgeType:
         cliques = draw(st.lists(members, max_size=4))
-        slots = [graph.add_clique(clique, edge_type) for clique in cliques]
-        if slots and draw(st.booleans()):
-            graph.remove_clique_at(edge_type, draw(st.sampled_from(slots)))
+        for clique in cliques:
+            graph.add_clique(clique, edge_type)
+        if cliques and draw(st.booleans()):
+            graph.remove_clique(edge_type, draw(st.sampled_from(cliques)))
         for u, v in draw(pairs):
             graph.add_edge(u, v, edge_type)
             if edge_type is EdgeType.DEPENDENCY:

@@ -146,13 +146,11 @@ def test_memory_tier_serves_repeat_builds_without_disk(tmp_path):
         store=store,
     )
     trimmed, removal = base.apply_delta(
-        [GraphEvent.package_removed(artifacts[0].id)], store=store
+        [GraphEvent.package_removed(artifacts[0].id)]
     )
     assert removal.embed_cache_misses == 0
     newcomer = entry("fresh", code="def fresh(arg):\n    return arg * 7\n")
-    grown, addition = trimmed.apply_delta(
-        [GraphEvent.package_added(newcomer)], store=store
-    )
+    grown, addition = trimmed.apply_delta([GraphEvent.package_added(newcomer)])
     assert addition.embed_cache_misses == 1
     rebuilt = cluster_artifacts(
         [e.artifact for e in grown.dataset.available_entries()], store=store

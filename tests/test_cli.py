@@ -451,8 +451,9 @@ def test_version_flag(capsys):
     assert "repro 1" in capsys.readouterr().out
 
 
-def test_update_command_evolves_a_bundle(tmp_path, capsys):
+def test_update_command_evolves_a_bundle(tmp_path, capsys, monkeypatch):
     from repro.core.delta.events import GraphEvent, events_to_jsonl
+    from repro.core.graph import PropertyGraph
     from repro.core.malgraph import MalGraph
     from repro.io.malgraphs import load_malgraph_bundle, save_malgraph_bundle
 
@@ -472,6 +473,12 @@ def test_update_command_evolves_a_bundle(tmp_path, capsys):
         ],
         tmp_path / "events.jsonl",
     )
+
+    def no_copy(self):
+        raise AssertionError("update forked the bundle it loaded")
+
+    # the loaded graph is the command's alone, so it evolves in place
+    monkeypatch.setattr(PropertyGraph, "copy", no_copy)
     assert main(["update", "--graph", str(bundle), str(events_path)]) == 0
     out = capsys.readouterr().out
     assert "epoch 1" in out and "2 events" in out
