@@ -8,8 +8,9 @@ For each world scale it:
 
 1. cold-builds the MALGRAPH (the rebuild baseline);
 2. applies a realistic event batch (removals + detections + publishes +
-   one report, capped at ~1% of the corpus) through the delta engine —
-   the *first* apply also pays the one-time ``DeltaState`` bootstrap,
+   one report, capped at ~1% of the corpus) through the delta engine,
+   which evolves the graph in place, as a service refresh does — the
+   *first* apply also pays the one-time ``DeltaState`` bootstrap,
    reported separately. The graph here is built without a store, so
    that first apply embeds the whole corpus into the per-SHA cache, as
    a live service over a store-less graph does once per process; a
@@ -207,12 +208,11 @@ def bench_scale(scale: float, record: list) -> None:
         MalGraph.build(mid_dataset)
     ), "batch 1: delta apply diverged from the cold rebuild"
 
-    # -- second batch: steady state (what a live service pays; the
-    # service refresh path applies in place, so the bench does too) --------
+    # -- second batch: steady state (what a live service pays) ---------------
     evolved.query_indexes()  # the snapshot a service holds before the batch
     batch2 = _batch(mid_dataset, rng, 2)
     started = time.perf_counter()
-    head, delta2 = evolved.apply_delta(batch2, in_place=True)
+    head, delta2 = evolved.apply_delta(batch2)
     delta_s = time.perf_counter() - started
     started = time.perf_counter()
     patched = head.query_indexes()

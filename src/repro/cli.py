@@ -420,20 +420,19 @@ def cmd_update(args: argparse.Namespace) -> int:
     if not bundle.is_dir():
         print(f"not a bundle directory: {bundle}", file=sys.stderr)
         return 2
-    events = events_from_jsonl(args.events)
-    if not events:
-        print(f"no events in {args.events}", file=sys.stderr)
-        return 2
     similarity = None
     if getattr(args, "jobs", None) is not None:
         from repro.core.similarity import SimilarityConfig
 
         similarity = SimilarityConfig(jobs=args.jobs)
-    base = load_malgraph_bundle(bundle, similarity, pipeline.get_store())
     try:
-        # the loaded graph is ours alone: evolve it without a fork
-        evolved, delta = base.apply_delta(events, in_place=True)
-    except (DatasetError, GraphError) as error:
+        events = events_from_jsonl(args.events)
+        if not events:
+            print(f"no events in {args.events}", file=sys.stderr)
+            return 2
+        evolved = load_malgraph_bundle(bundle, similarity, pipeline.get_store())
+        _, delta = evolved.apply_delta(events)
+    except (DatasetError, GraphError, OSError) as error:
         print(f"update error: {error}", file=sys.stderr)
         return 2
     target = save_malgraph_bundle(evolved, args.out or bundle)

@@ -1,13 +1,14 @@
 """``apply_delta``: surgical MALGRAPH updates from event batches.
 
-The correctness anchor of the delta subsystem: for any base graph and
-any valid event batch,
+The correctness anchor of the delta subsystem: for any graph and any
+valid event batch,
 
-    ``apply_delta(base, events)``
+    ``apply_delta(malgraph, events)``
 
-produces a :class:`~repro.core.malgraph.MalGraph` that is byte-identical
-after canonical serialisation to a cold ``MalGraph.build`` over
-``apply_events_to_dataset(base.dataset, events)``.
+evolves ``malgraph`` in place until it is byte-identical after
+canonical serialisation to a cold ``MalGraph.build`` over
+``apply_events_to_dataset(dataset, events)``, ``dataset`` being the one
+it held before the batch.
 
 The engine touches only what the batch touches:
 
@@ -142,18 +143,6 @@ class DeltaState:
             mentions=mentions,
         )
 
-    def fork(self) -> "DeltaState":
-        """Copy for a forked graph. The similar stage is shared: its
-        caches record facts about vectors (embeddings, cosine
-        components) that hold on every branch, and it only ever grows."""
-        return DeltaState(
-            similar_stage=self.similar_stage,
-            by_sha={sha: set(pids) for sha, pids in self.by_sha.items()},
-            name_index={key: set(pids) for key, pids in self.name_index.items()},
-            dependents={key: set(pids) for key, pids in self.dependents.items()},
-            mentions={pid: dict(held) for pid, held in self.mentions.items()},
-        )
-
 
 def _dependent_keys(entry: DatasetEntry) -> Set[DepKey]:
     """(ecosystem, dep-name) keys this entry contributes dependents for."""
@@ -213,43 +202,38 @@ class DeltaReport:
 # ---------------------------------------------------------------------------
 
 def apply_delta(
-    base: MalGraph, events: Sequence[GraphEvent], in_place: bool = False
+    malgraph: MalGraph, events: Sequence[GraphEvent]
 ) -> Tuple[MalGraph, DeltaReport]:
-    """Apply one ordered event batch to ``base``.
+    """Apply one ordered event batch to ``malgraph``, in place.
 
     See :meth:`repro.core.malgraph.MalGraph.apply_delta` for the public
-    contract. The batch clusters with ``base.similarity_config`` (the
-    stock :class:`SimilarityConfig` when the graph records none) and
-    reads vectors from ``base.store``. The delta state is bootstrapped
-    on ``base`` even when the update lands on a fork, so every fork of
-    one base copies a single state (and shares its similar stage)
-    instead of bootstrapping again.
+    contract. The batch clusters with ``malgraph.similarity_config``
+    (the stock :class:`SimilarityConfig` when the graph records none)
+    and reads vectors from ``malgraph.store``.
     """
     started = time.perf_counter()
     events = list(events)
     # validates the whole batch before anything is mutated
-    evolved = apply_events_to_dataset(base.dataset, events)
+    evolved = apply_events_to_dataset(malgraph.dataset, events)
 
-    if base._delta_state is None:
-        # on the base, not the fork: every later fork copies this state
-        base._delta_state = DeltaState.bootstrap(
-            base, base.similarity_config or SimilarityConfig()
+    if malgraph._delta_state is None:
+        malgraph._delta_state = DeltaState.bootstrap(
+            malgraph, malgraph.similarity_config or SimilarityConfig()
         )
-    target = base if in_place else _fork(base)
-    graph = target.graph
+    graph = malgraph.graph
     version_before = graph.version
-    state = target._delta_state
+    state = malgraph._delta_state
 
     report = DeltaReport(
         events=len(events),
-        epoch=target.delta_epoch + 1,
+        epoch=malgraph.delta_epoch + 1,
         batch_hash=event_batch_hash(events),
         cliques_added={t.value: 0 for t in EdgeType},
         cliques_removed={t.value: 0 for t in EdgeType},
     )
 
     # -- net dataset diff (event-derived: O(batch), not O(corpus)) ----------
-    base_dataset = target.dataset
+    base_dataset = malgraph.dataset
     touched_pids: Dict[PackageId, None] = {}  # insertion-ordered
     for event in events:
         if event.kind is not EventKind.REPORT_INGESTED:
@@ -274,7 +258,7 @@ def apply_delta(
     report.packages_removed = len(removed)
     report.reports_added = len(new_reports)
 
-    target.dataset = evolved
+    malgraph.dataset = evolved
     removed_ids = {node_id(e.package) for e in removed}
     replaced = [old for old, _ in changed]
     updated = [new for _, new in changed]
@@ -334,7 +318,7 @@ def apply_delta(
     # -- similar ------------------------------------------------------------
     similar = similar_groups_of(
         evolved,
-        lambda entries: state.similar_stage.recompute(entries, store=target.store),
+        lambda entries: state.similar_stage.recompute(entries, store=malgraph.store),
     )
     report.embed_cache_hits = similar.clustering.timings.cache_hits
     report.embed_cache_misses = similar.clustering.timings.cache_misses
@@ -347,7 +331,7 @@ def apply_delta(
             _sync_clique(graph, EdgeType.SIMILAR, members, None, touched, report)
     for members in sorted(desired_sim.difference(held_sim), key=sorted):
         _sync_clique(graph, EdgeType.SIMILAR, None, members, touched, report)
-    target.similar = similar
+    malgraph.similar = similar
 
     # -- co-existing --------------------------------------------------------
     # a report's clique before the batch is its group in the pre-batch
@@ -383,7 +367,7 @@ def apply_delta(
     ):
         graph.touch()
 
-    target.delta_epoch += 1
+    malgraph.delta_epoch += 1
 
     refreshed = {node_id(e.package) for e in added}
     refreshed |= {node_id(e.package) for _, e in changed}
@@ -397,34 +381,12 @@ def apply_delta(
     )
 
     report.seconds = time.perf_counter() - started
-    return target, report
+    return malgraph, report
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-def _fork(base: MalGraph) -> MalGraph:
-    """Cheap fork: graph structurally copied, dataset shared.
-
-    Sharing the dataset is safe because nothing mutates one: the engine
-    reads the fork's dataset and then replaces it with the post-events
-    dataset, whose untouched entries are the base's own objects (events
-    carry full replacement payloads, so no :class:`DatasetEntry` is
-    ever mutated in place).
-    """
-    dup = MalGraph(
-        graph=base.graph.copy(),
-        dataset=base.dataset,
-        similar=base.similar,
-        similarity_config=base.similarity_config,
-        store=base.store,
-        delta_epoch=base.delta_epoch,
-    )
-    if base._delta_state is not None:
-        dup._delta_state = base._delta_state.fork()
-    return dup
-
 
 def _duplicated(pids) -> Optional[FrozenSet[str]]:
     """The duplicated clique over packages sharing one SHA256, or None

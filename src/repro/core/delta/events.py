@@ -22,8 +22,8 @@ batch there defines the post-events collection that a cold
 graph byte-identical (canonically serialised) to that cold rebuild.
 
 Events are hashed (:func:`event_batch_hash`) over their canonical JSON,
-which is what the pipeline folds into delta-stage fingerprints, and
-round-trip through JSONL for the ``repro update`` CLI.
+which identifies a batch in its :class:`~repro.core.delta.engine.DeltaReport`,
+and round-trip through JSONL for the ``repro update`` CLI.
 """
 
 from __future__ import annotations
@@ -155,13 +155,41 @@ def events_to_jsonl(events: Sequence[GraphEvent], path: PathLike) -> Path:
 
 
 def events_from_jsonl(path: PathLike) -> List[GraphEvent]:
+    """Read an event batch, one JSON object per line.
+
+    Each payload is read once, as its kind reads it, so a malformed file
+    fails here: :class:`DatasetError` names the file and line of a line
+    that is not a JSON object, names an unknown kind, or carries a
+    payload its kind cannot read.
+    """
     events: List[GraphEvent] = []
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(GraphEvent.from_dict(json.loads(line)))
+    with Path(path).open("rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)  # decodes, so bad bytes fail here too
+                if not isinstance(raw, dict):
+                    raise ValueError("not a JSON object")
+                event = GraphEvent.from_dict(raw)
+                _PAYLOAD_READERS[event.kind](event)
+            except (
+                AttributeError, DatasetError, KeyError, TypeError, ValueError
+            ) as error:
+                raise DatasetError(
+                    f"{path}:{number}: {type(error).__name__}: {error}"
+                ) from error
+            events.append(event)
     return events
+
+
+#: how each kind's payload is read
+_PAYLOAD_READERS = {
+    EventKind.PACKAGE_ADDED: GraphEvent.entry,
+    EventKind.PACKAGE_DETECTED: GraphEvent.entry,
+    EventKind.PACKAGE_REMOVED: GraphEvent.package_id,
+    EventKind.REPORT_INGESTED: GraphEvent.report,
+}
 
 
 # ---------------------------------------------------------------------------

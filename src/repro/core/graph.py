@@ -415,28 +415,6 @@ class PropertyGraph:
                     uf.union(first, other)
         return sorted(uf.groups(), key=lambda g: (-len(g), min(g)))
 
-    # -- cloning ------------------------------------------------------------
-    def copy(self) -> "PropertyGraph":
-        """Structural deep copy (node attrs copied one level deep).
-
-        Preserves clique slot order including tombstones, so a slot
-        names the same clique in the original and the copy.
-        """
-        dup = PropertyGraph()
-        dup._version = self._version
-        dup._nodes = {node: dict(attrs) for node, attrs in self._nodes.items()}
-        dup._edges = {t: set(pairs) for t, pairs in self._edges.items()}
-        dup._adjacency = {
-            t: {node: set(adj) for node, adj in per_type.items()}
-            for t, per_type in self._adjacency.items()
-        }
-        dup._cliques = {t: list(cliques) for t, cliques in self._cliques.items()}
-        dup._clique_membership = {
-            t: {node: list(held) for node, held in per_type.items()}
-            for t, per_type in self._clique_membership.items()
-        }
-        return dup
-
     # -- persistence --------------------------------------------------------
     def to_dict(self) -> dict:
         return {

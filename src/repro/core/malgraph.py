@@ -120,31 +120,29 @@ class MalGraph:
 
     # ------------------------------------------------------------------
     def apply_delta(
-        self, events: Sequence["GraphEvent"], in_place: bool = False
+        self, events: Sequence["GraphEvent"]
     ) -> Tuple["MalGraph", "DeltaReport"]:
-        """Surgically update this graph from an ordered event batch.
+        """Surgically update this graph, in place, from an ordered event
+        batch, and return ``(self, report)``.
 
-        Returns ``(updated, report)``. By default the update lands on a
-        cheap fork (dataset shared, graph structurally copied) and this
-        instance is untouched — safe for cached bases. With
-        ``in_place=True`` the update mutates ``self``.
-
-        The result is byte-identical, after canonical serialisation
-        (:func:`repro.io.malgraphs.canonical_malgraph_json`), to a cold
-        ``MalGraph.build`` over the post-events collection.
+        The graph then equals, after canonical serialisation
+        (:func:`repro.io.malgraphs.canonical_malgraph_json`), a cold
+        ``MalGraph.build`` over the post-events collection. The batch is
+        validated before anything changes. Readers that need the graph
+        as it was answer from a query-index snapshot read before the
+        batch. A graph :meth:`repro.pipeline.PipelineRuntime.malgraph`
+        returned is the artifact its store's memory tier holds, so
+        evolving it changes what that tier serves.
 
         The batch clusters with :attr:`similarity_config` and reads
-        vectors from :attr:`store`, the settings the graph was built or
-        loaded with, which a fork keeps: the similar stage reads each
-        vector from the store's memory tier, then its disk tier, and
-        embeds only artifacts the store has never seen, writing those
-        back to both tiers. The first apply keeps its delta state on
-        this instance, even when the update lands on a fork, so later
-        forks copy that state and embed nothing it already holds.
+        vectors from :attr:`store`: the store's memory tier, then its
+        disk tier, embedding only artifacts it has never seen and
+        writing those back to both tiers. The first apply bootstraps
+        the delta state that later applies reuse.
         """
         from repro.core.delta.engine import apply_delta as _apply_delta
 
-        return _apply_delta(self, events, in_place=in_place)
+        return _apply_delta(self, events)
 
     # ------------------------------------------------------------------
     def groups(self, kind: GroupKind) -> List[PackageGroup]:

@@ -12,8 +12,8 @@ every benchmark. This package gives that chain an explicit runtime:
   ``~/.cache/repro`` (``REPRO_CACHE_DIR`` / ``--cache-dir``) with
   schema-version stamps and corruption fallback;
 * :mod:`repro.pipeline.stages` — :class:`PipelineRuntime`, resolving
-  its five stages (``world``, ``collection``, ``columnar``,
-  ``malgraph``, ``malgraph_delta``) through the store;
+  its four stages (``world``, ``collection``, ``columnar``,
+  ``malgraph``) through the store;
 * :mod:`repro.pipeline.report` — :class:`PipelineReport`, per-stage
   wall-time and hit/miss accounting, queryable from the CLI.
 

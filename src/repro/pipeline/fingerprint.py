@@ -70,26 +70,6 @@ def config_payload(
     return payload
 
 
-def delta_fingerprint(base_fingerprint: str, batch_hash: str) -> str:
-    """Content address for a delta-evolved MALGRAPH.
-
-    A delta artifact is fully determined by the artifact it evolved from
-    and the event batch applied to it, so the address chains: base
-    fingerprint (itself either a cold malgraph fingerprint or a previous
-    delta fingerprint) plus the batch hash
-    (:func:`repro.core.delta.events.event_batch_hash`).
-    """
-    body = {
-        "schema": SCHEMA_VERSION,
-        "stage": "malgraph_delta",
-        "base": base_fingerprint,
-        "batch": batch_hash,
-    }
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return digest[:FINGERPRINT_LENGTH]
-
-
 def fingerprint(
     stage: str,
     config: WorldConfig,

@@ -1,16 +1,16 @@
 """The stage DAG behind one runtime: ``world -> collection -> columnar``
-and ``collection -> malgraph -> malgraph_delta``.
+and ``collection -> malgraph``.
 
 :class:`PipelineRuntime` binds a configuration (``WorldConfig`` +
 ``SimilarityConfig``, plus an optional fault plan and retry budget) to an
 :class:`~repro.pipeline.store.ArtifactStore` and a
-:class:`~repro.pipeline.report.PipelineReport`. All five stages resolve
+:class:`~repro.pipeline.report.PipelineReport`. All four stages resolve
 through one routine — memory tier first, then disk, then a build — and
 every resolution is recorded in the report with its wall time.
 
 The world stage is memory-only (a :class:`~repro.world.World` holds live
 registries, mirrors and a simulated web; persisting it buys nothing the
-downstream artifacts don't already capture). The other four persist to
+downstream artifacts don't already capture). The other three persist to
 disk, which is what makes a warmed cache survive into new processes. An
 artifact built from a degraded collection resolves for the call but
 enters neither tier unless the runtime was created with
@@ -30,11 +30,7 @@ from repro.collection.pipeline import CollectionResult
 from repro.collection.records import MalwareDataset
 from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig
-from repro.pipeline.fingerprint import (
-    config_payload,
-    delta_fingerprint,
-    fingerprint,
-)
+from repro.pipeline.fingerprint import config_payload, fingerprint
 from repro.pipeline.report import (
     PipelineReport,
     SOURCE_BUILD,
@@ -50,8 +46,6 @@ from repro.world import World, WorldConfig, build_world, run_collection
 STAGE_WORLD = "world"
 STAGE_COLLECTION = "collection"
 STAGE_MALGRAPH = "malgraph"
-#: delta-evolved malgraph artifacts (addressed by base fp + batch hash)
-STAGE_DELTA = "malgraph_delta"
 #: columnar encoding of the collected dataset (DESIGN.md §12) — a
 #: sibling tier off the collection stage whose disk form memory-maps
 STAGE_COLUMNAR = "columnar"
@@ -157,29 +151,6 @@ class ColumnarCodec:
         return ColumnarMalwareDataset(load_columnar(directory, mmap=True))
 
 
-class MalGraphBundleCodec:
-    """Disk format for a delta-evolved MALGRAPH: dataset + graph in one
-    directory. Unlike :class:`MalGraphCodec`, the dataset travels with
-    the graph — an evolved dataset has no collection fingerprint of its
-    own to re-link against. Loading records the ``SimilarityConfig``
-    later deltas cluster with and the ``ArtifactStore`` they read
-    vectors from, as :class:`MalGraphCodec` does."""
-
-    def __init__(self, similarity: SimilarityConfig, store: ArtifactStore):
-        self.similarity = similarity
-        self.store = store
-
-    def save(self, malgraph: MalGraph, directory: Path) -> None:
-        from repro.io.malgraphs import save_malgraph_bundle
-
-        save_malgraph_bundle(malgraph, directory)
-
-    def load(self, directory: Path) -> MalGraph:
-        from repro.io.malgraphs import load_malgraph_bundle
-
-        return load_malgraph_bundle(directory, self.similarity, self.store)
-
-
 class PipelineRuntime:
     """Resolve pipeline stages for one configuration through the store."""
 
@@ -211,10 +182,6 @@ class PipelineRuntime:
         #: cache unless the caller opts in (it would silently poison every
         #: downstream consumer of that fingerprint otherwise).
         self.allow_degraded = allow_degraded
-        #: head of the delta chain: (fingerprint, malgraph) of the last
-        #: advance(); None until the first advance
-        self._head_fingerprint: Optional[str] = None
-        self._head_malgraph: Optional[MalGraph] = None
 
     # -- fingerprints ------------------------------------------------------
     def _inputs(self, stage: str) -> dict:
@@ -282,49 +249,6 @@ class PipelineRuntime:
         self.malgraph()
         return self
 
-    def advance(self, events) -> MalGraph:
-        """Advance the malgraph head by one event batch (delta stage).
-
-        The resulting artifact is addressed by
-        :func:`~repro.pipeline.fingerprint.delta_fingerprint` — the head
-        fingerprint chained with the batch hash — so re-running the same
-        event sequence resolves from cache tier-by-tier exactly like the
-        cold stages. Successive calls chain: each advance's output is
-        the next one's base. Its input is a graph, whose degraded state
-        the runtime does not track, so the result is always cached.
-        """
-        from repro.core.delta.events import event_batch_hash
-
-        events = list(events)
-        batch_hash = event_batch_hash(events)
-        base_fp = (
-            self._head_fingerprint
-            if self._head_fingerprint is not None
-            else self.fingerprint(STAGE_MALGRAPH)
-        )
-        fp = delta_fingerprint(base_fp, batch_hash)
-        payload = self._config_payload(STAGE_MALGRAPH)
-        payload["delta"] = {
-            "base": base_fp,
-            "batch_hash": batch_hash,
-            "events": len(events),
-        }
-        updated = self._resolve(
-            STAGE_DELTA,
-            lambda base: self._apply_delta(base, events),
-            upstream=lambda: (
-                self._head_malgraph
-                if self._head_malgraph is not None
-                else self.malgraph()
-            ),
-            codec=MalGraphBundleCodec(self.similarity, self.store),
-            fp=fp,
-            payload=payload,
-        )
-        self._head_fingerprint = fp
-        self._head_malgraph = updated
-        return updated
-
     # -- builds ------------------------------------------------------------
     def _build_malgraph(self, result: CollectionResult) -> MalGraph:
         malgraph = MalGraph.build(
@@ -336,14 +260,6 @@ class PipelineRuntime:
                 self.report.record_substage(STAGE_MALGRAPH, name, seconds, detail)
         return malgraph
 
-    def _apply_delta(self, base: MalGraph, events) -> MalGraph:
-        updated, delta_report = base.apply_delta(events)
-        self.report.record_substage(
-            STAGE_DELTA, "apply_delta", delta_report.seconds,
-            {"summary": delta_report.summary()},
-        )
-        return updated
-
     # -- resolution --------------------------------------------------------
     def _resolve(
         self,
@@ -351,8 +267,6 @@ class PipelineRuntime:
         build: Callable[[Any], Any],
         upstream: Optional[Callable[[], Any]] = None,
         codec=None,
-        fp: Optional[str] = None,
-        payload: Optional[dict] = None,
     ) -> Any:
         """Resolve one stage: the memory tier, then disk, then ``build``.
 
@@ -361,12 +275,11 @@ class PipelineRuntime:
         disk format (``None``: memory-only), or a function of the
         upstream artifact when loading needs that artifact (the malgraph
         re-links against its dataset) — the upstream then resolves
-        before the disk tier rather than only before a build. ``fp`` and
-        ``payload`` default to the stage's fingerprint and config. A
-        disk load or build of a stage an earlier hit elided replaces
-        that elided row, so the stage counts once.
+        before the disk tier rather than only before a build. A disk
+        load or build of a stage an earlier hit elided replaces that
+        elided row, so the stage counts once.
         """
-        fp = fp if fp is not None else self.fingerprint(stage)
+        fp = self.fingerprint(stage)
         started = time.perf_counter()
         status, source = STATUS_HIT, SOURCE_MEMORY
         held = self.store.get_memory(stage, fp)
@@ -397,7 +310,7 @@ class PipelineRuntime:
                 self.store.put_memory(stage, fp, held)
                 if codec is not None:
                     self.store.put_disk(
-                        stage, fp, held, codec, payload or self._config_payload(stage)
+                        stage, fp, held, codec, self._config_payload(stage)
                     )
         if source != SOURCE_MEMORY:
             # the elided stage was needed after all

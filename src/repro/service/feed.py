@@ -138,9 +138,10 @@ class FeedExporter:
     def _items_for(self, snapshot) -> Tuple[Dict, ...]:
         """The generation's immutable item tuple (built on first use).
 
-        Entries are materialised in the dataset's canonical
-        (ecosystem, name, version) order, so two walks over one
-        generation see identical pages.
+        Entries are materialised in the generation's dataset order, so
+        two walks over one generation see identical pages. A collected
+        dataset is in (ecosystem, name, version) order, but an event
+        batch appends the packages it publishes at the end.
         """
         generation = snapshot.generation
         with self._lock:

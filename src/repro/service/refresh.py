@@ -98,7 +98,7 @@ def refresh_from_events(
     """
     events = list(events)
     with service.lock:
-        _, report = malgraph.apply_delta(events, in_place=True)
+        _, report = malgraph.apply_delta(events)
         names = {e.package_id().name for e in events if e.kind in _NAME_EVENTS}
         published = service.publish(service.index.next_generation(malgraph, names))
         return published.index.dataset, report

@@ -4,8 +4,9 @@
 equal a cold ``MalGraph.build`` over the post-events collection — for
 every event kind, for chained batches, and for randomized
 publish/detect/remove interleavings (including remove-then-republish).
-Applied in place, each batch must also leave query indexes, patched
-from the snapshot read before it, equal to a cold index build.
+A batch evolves the graph it is given, and must also leave query
+indexes, patched from the snapshot read before it, equal to a cold
+index build.
 """
 
 from __future__ import annotations
@@ -85,26 +86,19 @@ def test_every_event_kind_matches_cold_rebuild():
     assert "| embedded 2 of 2 artifacts |" in delta.summary()
 
 
-def test_base_is_untouched_unless_in_place():
+def test_apply_delta_evolves_the_graph_it_is_given():
     base_ds = _base()
-    base = MalGraph.build(base_ds)
-    before = canonical_malgraph_json(base)
+    graph = MalGraph.build(base_ds)
     events = [GraphEvent.package_removed(entry("twin").package)]
-    evolved, _ = base.apply_delta(events)
-    assert evolved is not base
-    assert canonical_malgraph_json(base) == before
-    assert base.delta_epoch == 0
-
-    same, _ = base.apply_delta(events, in_place=True)
-    assert same is base
-    assert base.delta_epoch == 1
-    assert canonical_malgraph_json(base) == canonical_malgraph_json(evolved)
+    evolved, delta = graph.apply_delta(events)
+    assert evolved is graph
+    assert graph.delta_epoch == delta.epoch == 1
+    _assert_matches_cold(graph, base_ds, events)
 
 
-def test_forks_of_one_base_share_one_bootstrap(monkeypatch):
-    """Applies that fork a store-less base bootstrap the delta state on
-    the base once; every fork copies it, so only the first apply embeds
-    the corpus."""
+def test_successive_applies_bootstrap_once(monkeypatch):
+    """Successive applies on one store-less graph bootstrap the delta
+    state once, so only the first apply embeds the corpus."""
     bootstraps = []
     bootstrap = DeltaState.bootstrap.__func__
 
@@ -114,25 +108,23 @@ def test_forks_of_one_base_share_one_bootstrap(monkeypatch):
 
     monkeypatch.setattr(DeltaState, "bootstrap", classmethod(counting))
     base_ds = _base()
-    base = MalGraph.build(base_ds)
-    before = canonical_malgraph_json(base)
+    graph = MalGraph.build(base_ds)
     batches = [
         [GraphEvent.package_removed(entry("twin").package)],
         [GraphEvent.package_detected(entry("beta", code=VARIANTS[1],
                                            dependencies=("alpha",), downloads=9))],
         [GraphEvent.package_added(entry("late", code=SHARED))],
     ]
-    misses = []
+    applied, misses = [], []
     for events in batches:
-        fork, delta = base.apply_delta(events)
-        assert fork is not base
-        _assert_matches_cold(fork, base_ds, events)
+        _, delta = graph.apply_delta(events)
+        applied += events
+        _assert_matches_cold(graph, base_ds, applied)
         misses.append(delta.embed_cache_misses)
-    assert len(bootstraps) == 1 and bootstraps[0] is base
+    assert len(bootstraps) == 1 and bootstraps[0] is graph
     # two payloads in the corpus, and no batch brings a new one
     assert misses == [2, 0, 0]
-    assert canonical_malgraph_json(base) == before
-    assert base.delta_epoch == 0
+    assert graph.delta_epoch == 3
 
 
 def test_chained_batches_match_cold_rebuild():
@@ -163,24 +155,26 @@ def test_invalid_batch_leaves_base_unchanged():
     assert base.delta_epoch == 0
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_a_graph_whose_coexisting_cliques_miss_a_report_is_refused(in_place):
+@pytest.mark.parametrize("snapshot", [False, True])
+def test_a_graph_whose_coexisting_cliques_miss_a_report_is_refused(snapshot):
     """Surgery finds a report's clique by the group the report resolved
     to before the batch, so the first apply refuses a graph whose
-    co-existing cliques do not match its reports, before any change."""
+    co-existing cliques do not match its reports, before any change;
+    query indexes read before the refusal stay the current ones."""
     base = MalGraph.build(_base())
     base.graph.remove_clique(
         EdgeType.COEXISTING, ["pypi:alpha@1.0", "pypi:beta@1.0"]
     )
+    held = base.query_indexes() if snapshot else None
     before = canonical_malgraph_json(base)
     version = base.graph.version
     with pytest.raises(GraphError, match="co-existing cliques"):
-        base.apply_delta(
-            [GraphEvent.package_removed(entry("alpha").package)], in_place=in_place
-        )
+        base.apply_delta([GraphEvent.package_removed(entry("alpha").package)])
     assert canonical_malgraph_json(base) == before
     assert base.graph.version == version
     assert base.delta_epoch == 0 and base._delta_state is None
+    if snapshot:
+        assert base.query_indexes() is held
 
 
 def test_two_reports_on_one_group_grow_one_clique():
@@ -334,9 +328,9 @@ def _patched_indexes(graph: MalGraph):
     ops_b=st.lists(_op, min_size=1, max_size=5),
 )
 def test_random_in_place_batches_patch_indexes_like_a_cold_build(ops_a, ops_b):
-    """The in-place path a service refresh takes: each batch patches the
-    held query indexes, groups included, and the patch must answer like
-    a cold index build over the evolved graph."""
+    """The path a service refresh takes: each batch patches the held
+    query indexes, groups included, and the patch must answer like a
+    cold index build over the evolved graph."""
     base_ds = dataset(
         [entry("pkg0", code=SHARED), entry("pkg1", code=VARIANTS[2])],
         [],
@@ -348,7 +342,7 @@ def test_random_in_place_batches_patch_indexes_like_a_cold_build(ops_a, ops_b):
         if not events:
             continue
         graph.query_indexes()  # the snapshot the batch's patch starts from
-        same, _ = graph.apply_delta(events, in_place=True)
+        same, _ = graph.apply_delta(events)
         assert same is graph
         current = apply_events_to_dataset(current, events)
         applied += events

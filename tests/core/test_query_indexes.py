@@ -231,7 +231,7 @@ def test_directed_dependency_maps_follow_a_delta_chain(monkeypatch):
         ],
     ]
     for events in batches:
-        malgraph.apply_delta(events, in_place=True)
+        malgraph.apply_delta(events)
         # each check reads the snapshot the batch's patch derived
         _no_full_derivation(monkeypatch)
         _assert_dependency_direction(malgraph)
@@ -394,7 +394,7 @@ def test_apply_delta_patches_cached_indexes_without_rebuild(monkeypatch):
         GraphEvent.package_added(entry("aaa-one", code=_FRONT)),
         GraphEvent.package_added(entry("aaa-two", code=_FRONT)),
     ]
-    malgraph.apply_delta(events, in_place=True)
+    malgraph.apply_delta(events)
 
     # the refresh must go through the patch chain, not a full rebuild
     _no_full_derivation(monkeypatch)
@@ -443,7 +443,7 @@ def test_patch_chain_matches_a_cold_build(monkeypatch, batches):
     malgraph, alpha, twin, beta = _delta_world()
     before = malgraph.query_indexes()
     for events in _chain_batches(alpha, twin, beta)[:batches]:
-        malgraph.apply_delta(events, in_place=True)
+        malgraph.apply_delta(events)
 
     _no_full_derivation(monkeypatch)
     after = malgraph.query_indexes()
@@ -485,8 +485,7 @@ def test_patch_splits_and_bridges_groups_like_a_cold_build(monkeypatch):
         [
             GraphEvent.package_removed(hub.package),
             GraphEvent.package_added(entry("e", dependencies=("d", "far"))),
-        ],
-        in_place=True,
+        ]
     )
 
     _no_full_derivation(monkeypatch)
@@ -530,8 +529,7 @@ def test_groups_and_patched_ids_share_one_rank_rule(monkeypatch):
     assert cg == [["m", "n"], ["z", "a"]]
     malgraph.query_indexes()
     malgraph.apply_delta(
-        [GraphEvent.package_detected(dataclasses.replace(undated, downloads=7))],
-        in_place=True,
+        [GraphEvent.package_detected(dataclasses.replace(undated, downloads=7))]
     )
 
     _no_full_derivation(monkeypatch)
@@ -592,7 +590,7 @@ def test_stale_index_reads_after_apply_delta_are_impossible():
                   dependencies=("alpha",), downloads=77)
         ),
     ]
-    malgraph.apply_delta(events, in_place=True)
+    malgraph.apply_delta(events)
 
     refreshed = malgraph.query_indexes()
     assert refreshed is not indexes
@@ -605,7 +603,7 @@ def test_stale_index_reads_after_apply_delta_are_impossible():
                   dependencies=("alpha",), downloads=78)
         )
     ]
-    malgraph.apply_delta(events, in_place=True)
+    malgraph.apply_delta(events)
     again = malgraph.query_indexes()
     assert again is not refreshed
     assert again.node_attrs(node_id(beta.package))["downloads"] == 78

@@ -1,4 +1,6 @@
-"""The delta stage: advance() chains content addresses across batches."""
+"""Deltas on graphs a pipeline runtime resolved: a loaded graph
+records the settings it was built with and the store that holds its
+vectors, so its deltas equal cold builds and embed only new code."""
 
 from __future__ import annotations
 
@@ -13,21 +15,20 @@ from repro.core.delta import GraphEvent, apply_events_to_dataset
 from repro.core.embedding import AstEmbedder
 from repro.core.malgraph import MalGraph
 from repro.core.similarity import SimilarityConfig
-from repro.io.malgraphs import canonical_malgraph_json
+from repro.io.malgraphs import (
+    canonical_malgraph_json,
+    load_malgraph_bundle,
+    save_malgraph_bundle,
+)
 from repro.pipeline import ArtifactStore, PipelineReport, PipelineRuntime
 from repro.pipeline.report import SOURCE_DISK
-from repro.pipeline.stages import STAGE_COLLECTION, STAGE_DELTA, STAGE_MALGRAPH
+from repro.pipeline.stages import STAGE_COLLECTION, STAGE_MALGRAPH
 from repro.pipeline.store import EMBEDDINGS_STAGE
 from repro.world import WorldConfig
 
-from tests.core.helpers import entry, report
+from tests.core.helpers import entry
 
 SMALL = WorldConfig(seed=3, scale=0.05)
-
-
-def _runtime(tmp_path, store=None) -> PipelineRuntime:
-    store = store or ArtifactStore(cache_dir=tmp_path / "cache", disk_enabled=True)
-    return PipelineRuntime(SMALL, store=store, report=PipelineReport())
 
 
 def _batch(dataset):
@@ -36,62 +37,6 @@ def _batch(dataset):
         GraphEvent.package_removed(dataset.entries[0].package),
         GraphEvent.package_added(fresh),
     ]
-
-
-def test_advance_builds_once_then_hits_cache_tiers(tmp_path):
-    runtime = _runtime(tmp_path)
-    events = _batch(runtime.dataset())
-    first = runtime.advance(events)
-    counts = runtime.report.counts()
-    assert counts[STAGE_DELTA]["misses"] == 1
-
-    # same store, fresh runtime: memory tier serves the artifact
-    warm = _runtime(tmp_path, store=runtime.store)
-    assert warm.advance(events) is first
-    assert warm.report.counts()[STAGE_DELTA]["hits"] == 1
-    assert warm.report.counts()[STAGE_DELTA]["misses"] == 0
-
-    # fresh store over the same cache dir: a cold process, disk tier
-    cold = _runtime(tmp_path)
-    reloaded = cold.advance(events)
-    assert reloaded is not first
-    assert canonical_malgraph_json(reloaded) == canonical_malgraph_json(first)
-    assert cold.report.counts()[STAGE_DELTA]["hits"] == 1
-    assert reloaded.similarity_config is cold.similarity
-
-
-def test_advance_matches_cold_rebuild_and_chains(tmp_path):
-    runtime = _runtime(tmp_path)
-    base_ds = runtime.dataset()
-    first = _batch(base_ds)
-    mid = runtime.advance(first)
-    mid_ds = apply_events_to_dataset(base_ds, first)
-    assert canonical_malgraph_json(mid) == canonical_malgraph_json(
-        MalGraph.build(mid_ds)
-    )
-
-    second = [
-        GraphEvent.package_detected(
-            entry("delta-added-pkg", code="def added():\n    return 41\n",
-                  downloads=5)
-        ),
-        GraphEvent.report_ingested(
-            report("r-delta", [entry("delta-added-pkg").package])
-        ),
-    ]
-    head = runtime.advance(second)
-    assert head.delta_epoch == 2
-    final_ds = apply_events_to_dataset(mid_ds, second)
-    assert canonical_malgraph_json(head) == canonical_malgraph_json(
-        MalGraph.build(final_ds)
-    )
-    # two delta resolutions recorded, each with its own chained address
-    runs = [r for r in runtime.report.runs if r.stage == STAGE_DELTA]
-    assert len(runs) == 2
-    assert runs[0].fingerprint != runs[1].fingerprint
-    # each build recorded its apply_delta substage with a summary line
-    subs = [s for s in runtime.report.substages if s.stage == STAGE_DELTA]
-    assert len(subs) == 2 and all(s.name == "apply_delta" for s in subs)
 
 
 def test_disk_loaded_graph_deltas_with_the_config_it_was_built_with(
@@ -199,33 +144,33 @@ def test_loaded_graph_deltas_without_re_embedding_the_corpus(cache_dir):
     from, whose disk tier holds every vector."""
     runtime, loaded = loaded_graph(cache_dir)
     assert loaded.store is runtime.store
-    events = known_batch(loaded.dataset)
-    evolved, delta = loaded.apply_delta(events)
-    after = apply_events_to_dataset(loaded.dataset, events)
+    before = loaded.dataset
+    events = known_batch(before)
+    after = apply_events_to_dataset(before, events)
+    storeless, _ = MalGraph.build(before).apply_delta(events)
+    _, delta = loaded.apply_delta(events)
     assert delta.embed_cache_misses == 0
     assert delta.embed_cache_hits == unique_embeddable(after)
     assert f"embedded 0 of {delta.embed_cache_hits} artifacts" in delta.summary()
 
-    storeless, _ = MalGraph.build(loaded.dataset).apply_delta(events)
     expected = canonical_malgraph_json(MalGraph.build(after))
     assert canonical_malgraph_json(storeless) == expected
-    assert canonical_malgraph_json(evolved) == expected
+    assert canonical_malgraph_json(loaded) == expected
 
 
-def test_forks_and_loaded_bundles_keep_the_store(cache_dir):
-    runtime, loaded = loaded_graph(cache_dir)
-    events = known_batch(loaded.dataset)
-    fork, _ = loaded.apply_delta(events)
-    assert fork is not loaded
-    assert fork.store is runtime.store
+def test_loaded_bundles_record_the_settings_and_the_store(cache_dir, tmp_path):
+    """An evolved graph saved as a bundle and loaded by a new process's
+    runtime clusters with that runtime's configuration and reads the
+    vectors its store holds: the next delta embeds nothing."""
+    _, loaded = loaded_graph(cache_dir)
+    loaded.apply_delta(known_batch(loaded.dataset))
+    bundle = save_malgraph_bundle(loaded, tmp_path / "bundle")
 
-    runtime.advance(events)  # writes the evolved bundle to disk
     fresh = open_runtime(cache_dir)
-    head = fresh.advance(events)
-    assert [r.source for r in fresh.report.runs if r.stage == STAGE_DELTA] == [
-        SOURCE_DISK
-    ]
+    head = load_malgraph_bundle(bundle, fresh.similarity, fresh.store)
+    assert head.similarity_config is fresh.similarity
     assert head.store is fresh.store
+    assert canonical_malgraph_json(head) == canonical_malgraph_json(loaded)
     _, delta = head.apply_delta(known_batch(head.dataset))
     assert delta.embed_cache_misses == 0
 

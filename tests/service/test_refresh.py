@@ -14,13 +14,14 @@ from repro.core.edges import node_id
 from repro.core.graph import EdgeType
 from repro.core.groups import GroupKind
 from repro.core.malgraph import MalGraph
-from repro.core.query import build_indexes
+from repro.core.query import QueryEngine, build_indexes
 from repro.service.cache import build_service
 from repro.service.enrich import (
     VERDICT_MALICIOUS,
     EnrichmentEngine,
     Indicator,
 )
+from repro.service.feed import feed_item
 from repro.core.delta.events import GraphEvent, apply_events_to_dataset
 from repro.service.index import CAMPAIGN_KINDS, FAMILY_KINDS, IntelIndex
 from repro.service.refresh import refresh_from_events, refresh_index
@@ -560,19 +561,45 @@ class _Script:
         return None
 
 
+#: /v1/query patterns every generation must answer like a cold build: a
+#: 1-hop query over each edge type, the 2-hop similar -> coexisting
+#: shape, and lookups by SG and CG group id
+_QUERIES = [
+    *(f"MATCH (a)-[{t.value}]-(b) RETURN a, b" for t in EdgeType),
+    "MATCH (a)-[similar]-(b)-[coexisting]-(c) RETURN a, b, c",
+    *(
+        f"MATCH (n) WHERE n.{kind.value.lower()} = '{kind.value}-{i:04d}' RETURN n"
+        for kind in (GroupKind.SG, GroupKind.CG)
+        for i in range(2)
+    ),
+]
+
+
+def _query_answers(engine: QueryEngine):
+    answers = []
+    for pattern in _QUERIES:
+        result = engine.run(pattern)
+        answers.append((result.columns, sorted(result.rows)))
+    return answers
+
+
 @given(batches=st.lists(st.lists(_step, min_size=1, max_size=4), min_size=1, max_size=4))
 @settings(max_examples=50, deadline=None)
 def test_every_generation_answers_like_a_cold_build(batches):
     """After each refresh the published generation answers every lookup
-    exactly as ``IntelIndex.build`` over the same graph state does."""
+    exactly as ``IntelIndex.build`` over the same graph state does, and
+    every ``/v1/query`` and ``/v1/feed`` answer exactly as a cold build
+    over the post-events dataset does."""
     script = _Script()
-    service, malgraph = _service(dataset(list(script.live.values())))
+    reference = dataset(list(script.live.values()))
+    service, malgraph = _service(reference)
     for steps in batches:
         events = [script.event(kind, pick) for kind, pick in steps]
         events = [event for event in events if event is not None]
         if not events:
             continue
         refresh_from_events(service.index, events, service=service, malgraph=malgraph)
+        reference = apply_events_to_dataset(reference, events)
         _assert_index_matches_cold_build(service.index, malgraph)
         cold = EnrichmentEngine(IntelIndex.build(malgraph))
         seen = script.seen.values()
@@ -580,6 +607,11 @@ def test_every_generation_answers_like_a_cold_build(batches):
         # aliases of packages a report names stay hidden while unserved
         for pid in set(script.seen) - set(script.live):
             assert service.index.actors_of(pid) == []
+        rebuilt = MalGraph.build(reference)
+        assert _query_answers(service.query_engine) == _query_answers(
+            QueryEngine.pinned(build_indexes(rebuilt.graph, rebuilt))
+        )
+        assert service.feed.walk() == [feed_item(e) for e in reference.entries]
 
 
 # -- against the simulated world ------------------------------------------

@@ -451,9 +451,8 @@ def test_version_flag(capsys):
     assert "repro 1" in capsys.readouterr().out
 
 
-def test_update_command_evolves_a_bundle(tmp_path, capsys, monkeypatch):
+def test_update_command_evolves_a_bundle(tmp_path, capsys):
     from repro.core.delta.events import GraphEvent, events_to_jsonl
-    from repro.core.graph import PropertyGraph
     from repro.core.malgraph import MalGraph
     from repro.io.malgraphs import load_malgraph_bundle, save_malgraph_bundle
 
@@ -473,12 +472,6 @@ def test_update_command_evolves_a_bundle(tmp_path, capsys, monkeypatch):
         ],
         tmp_path / "events.jsonl",
     )
-
-    def no_copy(self):
-        raise AssertionError("update forked the bundle it loaded")
-
-    # the loaded graph is the command's alone, so it evolves in place
-    monkeypatch.setattr(PropertyGraph, "copy", no_copy)
     assert main(["update", "--graph", str(bundle), str(events_path)]) == 0
     out = capsys.readouterr().out
     assert "epoch 1" in out and "2 events" in out
@@ -582,3 +575,30 @@ def test_update_command_error_paths(tmp_path, capsys):
     assert main(["update", "--graph", str(bundle), str(bad)]) == 2
     err = capsys.readouterr().err
     assert "update error" in err
+
+    # a malformed events file is refused by file and line before the
+    # bundle is touched
+    good = events_path.read_text()
+    removed = GraphEvent.package_removed(entry("seed-a").package).to_dict()
+    added = GraphEvent.package_added(entry("other", code="x = 1\n")).to_dict()
+    del removed["payload"]["ecosystem"]
+    del added["payload"]["name"]
+    malformed = {
+        "not-json.jsonl": good + "{not json\n",
+        "bogus-kind.jsonl": good + json.dumps({"kind": "bogus", "payload": {}}) + "\n",
+        "no-ecosystem.jsonl": good + json.dumps(removed) + "\n",
+        "no-name.jsonl": good + json.dumps(added) + "\n",
+        "not-utf8.jsonl": good + "\udcff{}\n",  # a 0xff byte
+    }
+    files = {path: path.read_bytes() for path in bundle.iterdir()}
+    for name, text in malformed.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["update", "--graph", str(bundle), str(path)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"update error: {path}:2: " in err, (name, err)
+    missing = tmp_path / "missing.jsonl"
+    assert main(["update", "--graph", str(bundle), str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "update error" in err and str(missing) in err
+    assert {path: path.read_bytes() for path in bundle.iterdir()} == files
